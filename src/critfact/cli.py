@@ -202,31 +202,24 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# family -> (words, params) from the parsed arguments
+_FAMILIES = {
+    "m-prefix": lambda a: ([m_prefix(a.length)], {"len": a.length}),
+    "tau": lambda a: ([tau_iter("0", a.n)], {"n": a.n}),
+    "mn": lambda a: ([m_n(a.n)], {"n": a.n}),
+    "alpha": lambda a: ([alpha_n(a.n)], {"n": a.n}),
+    "beta": lambda a: ([beta_n(a.n)], {"n": a.n}),
+    "wx": lambda a: ([construct_wx(x_n(a.n))], {"n": a.n}),
+    "wx-of": lambda a: ([construct_wx(parse_word(a.x))], {"x": a.x}),
+    "beta-family": lambda a: (
+        beta_family(a.count, a.bound),
+        {"count": a.count, "bound": a.bound},
+    ),
+}
+
+
 def _cmd_generate(args) -> int:
-    if args.family == "m-prefix":
-        words = [m_prefix(args.length)]
-        params: dict = {"len": args.length}
-    elif args.family == "tau":
-        words = [tau_iter("0", args.n)]
-        params = {"n": args.n}
-    elif args.family == "mn":
-        words = [m_n(args.n)]
-        params = {"n": args.n}
-    elif args.family == "alpha":
-        words = [alpha_n(args.n)]
-        params = {"n": args.n}
-    elif args.family == "beta":
-        words = [beta_n(args.n)]
-        params = {"n": args.n}
-    elif args.family == "wx":
-        words = [construct_wx(x_n(args.n))]
-        params = {"n": args.n}
-    elif args.family == "wx-of":
-        words = [construct_wx(parse_word(args.x))]
-        params = {"x": args.x}
-    else:
-        words = beta_family(args.count, args.bound)
-        params = {"count": args.count, "bound": args.bound}
+    words, params = _FAMILIES[args.family](args)
     if args.json:
         if len(words) == 1:
             w = words[0]

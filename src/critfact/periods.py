@@ -11,15 +11,17 @@ Vocabulary (see README for worked examples):
 
 The minimal local period is computed by two independent routes:
 
-* ``local_period`` / ``local_periods_scan``: the definitional scan,
-  trying q = 1, 2, ... with a letter-by-letter window check.  This is
-  the reference route.
+* ``local_period`` / ``local_periods_scan`` / ``is_local_period``: the
+  definitional scan, trying q = 1, 2, ... with a letter-by-letter window
+  check, written once and run per position.  This is the reference route.
 * ``local_periods``: a shift sweep that resolves all positions of one
   word together from per-shift mismatch prefix sums, O(n * per(w)).
   ``profile`` uses it.
 
-The two must agree everywhere; verification runs recompute both and
-treat any disagreement as a failure of the run itself.
+The two share no code and must agree everywhere; verification runs
+recompute both and treat any disagreement as a failure of the run
+itself.  One builder turns local periods into a profile, for ``profile``
+and for the verification suites.
 """
 
 from __future__ import annotations
@@ -32,74 +34,64 @@ from .errors import InvalidPeriod, InvalidPosition, ResourceGuard, TooShort
 from .words import border_array
 
 
-def is_local_period(w: str, p: int, q: int) -> bool:
-    """Window test for a local period: q is a local period of w at p iff
-    w[i] = w[i+q] for every 1-based i with max(1, p-q+1) <= i <= min(p, |w|-q).
+def _least_local_period(w: str, p: int, q: int = 1) -> int:
+    """Least local period of ``w`` at ``p`` that is >= ``q``, by the
+    definitional scan: try q, q+1, ... and check each matching window
+    w[i] = w[i+q] (1-based, max(1, p-q+1) <= i <= min(p, |w|-q)) letter
+    by letter.  The window is empty at q = |w|, so the scan stops there.
+    """
+    n = len(w)
+    while True:
+        lo = p - q
+        if lo < 0:
+            lo = 0
+        hi = n - q
+        if p < hi:
+            hi = p
+        j = lo
+        while j < hi:
+            if w[j] != w[j + q]:
+                break
+            j += 1
+        else:
+            return q
+        q += 1
 
-    The window is empty for q = |w|, which therefore always passes.
-    Raises InvalidPosition / InvalidPeriod outside 1 <= p < |w|,
-    1 <= q <= |w|.
+
+def is_local_period(w: str, p: int, q: int) -> bool:
+    """Whether q is a local period of w at p: its matching window holds.
+
+    Every q passes at q = |w|.  Raises InvalidPosition / InvalidPeriod
+    outside 1 <= p < |w|, 1 <= q <= |w|.
     """
     n = len(w)
     if not 1 <= p < n:
         raise InvalidPosition(f"position {p} not in 1..{n - 1}")
     if not 1 <= q <= n:
         raise InvalidPeriod(f"candidate period {q} not in 1..{n}")
-    lo = max(0, p - q)
-    hi = min(p, n - q)
-    return lo >= hi or w[lo:hi] == w[lo + q : hi + q]
+    return _least_local_period(w, p, q) == q
 
 
 def local_period(w: str, p: int) -> int:
     """Minimal local period of ``w`` at position ``p``, by the
-    definitional scan: return the first q = 1, 2, ... whose matching
-    window holds letter by letter.  Always terminates by q = |w|.
+    definitional scan.  Always terminates by q = |w|.
     """
     n = len(w)
     if n < 2 or not 1 <= p < n:
         raise InvalidPosition(f"position {p} not in 1..{max(n - 1, 0)}")
-    for q in range(1, n + 1):
-        lo = max(0, p - q)
-        hi = min(p, n - q)
-        ok = True
-        for j in range(lo, hi):
-            if w[j] != w[j + q]:
-                ok = False
-                break
-        if ok:
-            return q
-    raise AssertionError("unreachable: q = |w| has an empty window")
+    return _least_local_period(w, p)
 
 
 def local_periods_scan(w: str) -> list[int]:
     """Minimal local periods at every position, reference route.
 
-    Same scan as ``local_period``, inlined across positions; kept free
-    of shortcuts so it can serve as the oracle for the sweep.
+    The definitional scan at each position in turn; kept free of
+    shortcuts so it can serve as the oracle for the sweep.
     """
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
-    out = []
-    for p in range(1, n):
-        q = 1
-        while True:
-            lo = p - q
-            if lo < 0:
-                lo = 0
-            hi = n - q
-            if p < hi:
-                hi = p
-            j = lo
-            while j < hi:
-                if w[j] != w[j + q]:
-                    break
-                j += 1
-            else:
-                out.append(q)
-                break
-            q += 1
-    return out
+    return [_least_local_period(w, p) for p in range(1, n)]
 
 
 def local_periods(w: str) -> list[int]:
@@ -154,7 +146,7 @@ class RepetitionInfo:
     right_overflow: bool
 
 
-def _rebuild_repetition(w: str, p: int, q: int) -> RepetitionInfo:
+def _repetition_word(w: str, p: int, q: int) -> str:
     """Reconstruct the unique minimal repetition word from q = per(w, p).
 
     Whichever side of the cut fits inside w supplies u directly; with
@@ -163,12 +155,15 @@ def _rebuild_repetition(w: str, p: int, q: int) -> RepetitionInfo:
     """
     n = len(w)
     if q <= n - p:
-        u = w[p : p + q]
-    elif q <= p:
-        u = w[p - q : p]
-    else:
-        u = w[p:] + w[n - q : p]
-    return RepetitionInfo(u, q, q > p, q > n - p)
+        return w[p : p + q]
+    if q <= p:
+        return w[p - q : p]
+    return w[p:] + w[n - q : p]
+
+
+def _rebuild_repetition(w: str, p: int, q: int) -> RepetitionInfo:
+    """The minimal repetition word from q = per(w, p), with its overflow flags."""
+    return RepetitionInfo(_repetition_word(w, p, q), q, q > p, q > len(w) - p)
 
 
 def repetition_info(w: str, p: int) -> RepetitionInfo:
@@ -223,17 +218,18 @@ def profile(w: str, *, max_len: int | None = None) -> PeriodProfile:
     cap = DEFAULT_LIMITS.max_profile_len if max_len is None else max_len
     if n > cap:
         raise ResourceGuard(f"|w| = {n} exceeds the profile ceiling {cap}")
-    lp = local_periods(w)
+    return _profile_of(w, local_periods(w))
+
+
+def _profile_of(w: str, lp: list[int]) -> PeriodProfile:
+    """The profile of ``w`` (|w| >= 2) from its local periods ``lp``,
+    with no length ceiling."""
+    n = len(w)
     per = n - border_array(w)[-1]
-    crit = tuple(p for p in range(1, n) if lp[p - 1] == per)
-    return PeriodProfile(
-        word=w,
-        period=per,
-        local_periods=tuple(lp),
-        critical_points=crit,
-        eta=len(crit),
-        midpoint=(n + 1) // 2,
-    )
+    # positional fields and a list comprehension: the universes build one
+    # profile per word, and keyword init of the frozen class costs more
+    crit = tuple([p for p, q in enumerate(lp, 1) if q == per])
+    return PeriodProfile(w, per, tuple(lp), crit, len(crit), (n + 1) // 2)
 
 
 def critical_interval(prof: PeriodProfile) -> tuple[int, int] | None:

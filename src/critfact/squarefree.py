@@ -11,14 +11,17 @@ has none.  Two detection routes are kept deliberately independent:
   It makes square-freeness checks of 10^5-letter words affordable.
 
 ``is_square_free`` dispatches between them by length.
+
+One depth-first walker enumerates words; ``square_free_range`` and
+``square_free_words`` run it with ``extend_square_free`` as letter test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .errors import EmptyFactor
+from .errors import EmptyFactor, RangeError
 from .words import TERNARY
 
 # find_square stays the canonical route below this length; has_square
@@ -137,55 +140,54 @@ def extend_square_free(w: str, a: str) -> bool:
     return True
 
 
-def square_free_words(
-    n: int, alphabet: str = TERNARY, prefix: str = ""
+def _walk(
+    prefix: str,
+    min_len: int,
+    max_len: int,
+    alphabet: str,
+    accept: Callable[[str, str], bool] | None = None,
 ) -> Iterator[str]:
-    """Yield every square-free word of length ``n`` over ``alphabet`` in
-    lexicographic order, depth-first with incremental suffix checks.
-
-    ``prefix`` restricts the walk to extensions of a (square-free)
-    stem; useful for partitioning work across processes.  A non-square-
-    free prefix yields nothing.
+    """Yield ``prefix`` and its extensions whose length lies in
+    [min_len, max_len], depth first in pre-order, so each length comes
+    out in lexicographic order of ``alphabet``.  A letter a extends w
+    only when ``accept(w, a)`` holds; without ``accept`` every word is
+    walked.  Iterative, so the depth is not bounded by recursion.
     """
-    if n < 0 or len(prefix) > n or not is_square_free(prefix):
-        return
-    if len(prefix) == n:
-        yield prefix
-        return
-
-    def walk(w: str) -> Iterator[str]:
-        for a in alphabet:
-            if extend_square_free(w, a):
-                wa = w + a
-                if len(wa) == n:
-                    yield wa
-                else:
-                    yield from walk(wa)
-
-    yield from walk(prefix)
+    stack = [prefix]
+    while stack:
+        w = stack.pop()
+        if len(w) >= min_len:
+            yield w
+        if len(w) < max_len:
+            for a in reversed(alphabet):
+                if accept is None or accept(w, a):
+                    stack.append(w + a)
 
 
 def square_free_range(
     min_len: int, max_len: int, alphabet: str = TERNARY, prefix: str = ""
 ) -> Iterator[str]:
     """Yield square-free words of every length in [min_len, max_len]
-    extending ``prefix``, in one depth-first pass (pre-order)."""
+    extending ``prefix``, in one depth-first pass (pre-order) with
+    incremental suffix checks.
+
+    ``prefix`` restricts the walk to extensions of a (square-free)
+    stem; useful for partitioning work across processes.  A non-square-
+    free prefix yields nothing.  Raises RangeError for negative lengths.
+    """
+    if min(min_len, max_len) < 0:
+        raise RangeError(f"need lengths >= 0, got {min_len}..{max_len}")
     if min_len > max_len or len(prefix) > max_len or not is_square_free(prefix):
-        return
-    if len(prefix) >= min_len:
-        yield prefix
+        return iter(())
+    return _walk(prefix, min_len, max_len, alphabet, extend_square_free)
 
-    def walk(w: str) -> Iterator[str]:
-        for a in alphabet:
-            if extend_square_free(w, a):
-                wa = w + a
-                if len(wa) >= min_len:
-                    yield wa
-                if len(wa) < max_len:
-                    yield from walk(wa)
 
-    if len(prefix) < max_len:
-        yield from walk(prefix)
+def square_free_words(
+    n: int, alphabet: str = TERNARY, prefix: str = ""
+) -> Iterator[str]:
+    """Yield every square-free word of length ``n`` over ``alphabet`` in
+    lexicographic order; see ``square_free_range``."""
+    return square_free_range(n, n, alphabet, prefix)
 
 
 def count_square_free(n: int, alphabet: str = TERNARY) -> int:

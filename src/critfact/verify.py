@@ -12,6 +12,12 @@ determined by the theorem:
     no-overlap, upper-bound,
     lower-bound                      square-free words only
 
+Every walk, including the 01-constrained search of
+``verify_alpha_extremal``, runs the one depth-first walker of
+``squarefree``; the all-words universe runs it with no letter test.
+Profiles come from the builder behind ``periods.profile``, fed the
+sweep once the scan agrees with it; ``_report`` builds every report.
+
 Runs can be partitioned by word prefix across worker processes; merged
 reports are independent of the worker count (counts are summed and
 counterexamples re-sorted lexicographically by word).
@@ -22,7 +28,6 @@ The family suites (``verify_alpha_extremal``, ``verify_beta_eta``,
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -34,13 +39,15 @@ from typing import Iterable, Iterator
 from .config import DEFAULT_LIMITS
 from .errors import RangeError, ResourceGuard
 from .periods import (
-    _rebuild_repetition,
+    _profile_of,
+    _repetition_word,
     critical_interval,
+    is_unimodal,
     local_periods,
     local_periods_scan,
-    profile,
 )
 from .squarefree import (
+    _walk,
     extend_square_free,
     is_square_free,
     overlaps_self,
@@ -136,9 +143,8 @@ def _check_word(w: str, ids: tuple[TheoremId, ...]) -> list[tuple[TheoremId, str
     if lp != scan:
         detail = f"local-period routes disagree: sweep={lp} scan={scan}"
         return [(tid, w, detail) for tid in ids]
-    per = n - border_array(w)[-1]
-    crit = [p for p in range(1, n) if lp[p - 1] == per]
-    mid = (n + 1) // 2
+    prof = _profile_of(w, lp)
+    per, crit, mid = prof.period, prof.critical_points, prof.midpoint
     issues = []
     for tid in ids:
         if tid is TheoremId.CFT:
@@ -154,17 +160,15 @@ def _check_word(w: str, ids: tuple[TheoremId, ...]) -> list[tuple[TheoremId, str
                     (tid, w, f"midpoint {mid} not critical: per(w,{mid})={lp[mid - 1]}, per={per}")
                 )
         elif tid is TheoremId.UNIMODAL:
-            ok = all(lp[p - 2] <= lp[p - 1] for p in range(2, mid + 1)) and all(
-                lp[p - 1] <= lp[p - 2] for p in range(mid + 1, n)
-            )
-            if not ok:
+            if not is_unimodal(prof):
                 issues.append((tid, w, f"local periods not unimodal: {lp}"))
         elif tid is TheoremId.INTERVAL:
-            if not crit or crit[-1] - crit[0] + 1 != len(crit):
-                issues.append((tid, w, f"critical points not an interval: {crit}"))
-            elif not crit[0] <= mid <= crit[-1]:
+            interval = critical_interval(prof)
+            if interval is None:
+                issues.append((tid, w, f"critical points not an interval: {list(crit)}"))
+            elif not interval[0] <= mid <= interval[1]:
                 issues.append(
-                    (tid, w, f"interval [{crit[0]}, {crit[-1]}] misses midpoint {mid}")
+                    (tid, w, f"interval [{interval[0]}, {interval[1]}] misses midpoint {mid}")
                 )
         elif tid is TheoremId.OVERFLOW_IFF_SQUAREFREE:
             all_overflow = all(
@@ -177,7 +181,7 @@ def _check_word(w: str, ids: tuple[TheoremId, ...]) -> list[tuple[TheoremId, str
                 )
         elif tid is TheoremId.MIN_REP_UNBORDERED:
             for p in range(1, n):
-                u = _rebuild_repetition(w, p, lp[p - 1]).u
+                u = _repetition_word(w, p, lp[p - 1])
                 if border_array(u)[-1] != 0:
                     issues.append((tid, w, f"repetition word {u!r} at p={p} is bordered"))
         elif tid is TheoremId.NO_SELF_OVERLAP:
@@ -186,11 +190,11 @@ def _check_word(w: str, ids: tuple[TheoremId, ...]) -> list[tuple[TheoremId, str
                 if overlaps_self(x, w):
                     issues.append((tid, w, f"factor {x!r} overlaps itself"))
         elif tid is TheoremId.UPPER_BOUND:
-            if len(crit) > n - 5:
-                issues.append((tid, w, f"eta={len(crit)} exceeds |w|-5={n - 5}"))
+            if prof.eta > n - 5:
+                issues.append((tid, w, f"eta={prof.eta} exceeds |w|-5={n - 5}"))
         elif tid is TheoremId.LOWER_BOUND:
-            if 4 * len(crit) < n:
-                issues.append((tid, w, f"4*eta={4 * len(crit)} below |w|={n}"))
+            if 4 * prof.eta < n:
+                issues.append((tid, w, f"4*eta={4 * prof.eta} below |w|={n}"))
         else:
             raise RangeError(f"{tid.value} is not a range suite")
     return issues
@@ -200,25 +204,25 @@ def _iter_universe(
     universe: str, alphabet: str, min_len: int, max_len: int, prefix: str
 ) -> Iterator[str]:
     if universe == "square-free":
-        yield from square_free_range(min_len, max_len, alphabet, prefix)
-        return
-    for length in range(min_len, max_len + 1):
-        k = length - len(prefix)
-        if k < 0:
-            continue
-        for tail in itertools.product(alphabet, repeat=k):
-            yield prefix + "".join(tail)
+        return square_free_range(min_len, max_len, alphabet, prefix)
+    return _walk(prefix, min_len, max_len, alphabet)
 
 
-def _run_chunk(payload) -> tuple[int, list[tuple[str, str, str]]]:
-    ids, universe, alphabet, min_len, max_len, prefix = payload
+def _check_words(
+    words: Iterable[str], ids: tuple[TheoremId, ...]
+) -> tuple[int, list[tuple[TheoremId, str, str]]]:
+    """Number of words checked, and the issues ``_check_word`` found."""
     tested = 0
-    found: list[tuple[str, str, str]] = []
-    for w in _iter_universe(universe, alphabet, min_len, max_len, prefix):
+    found: list[tuple[TheoremId, str, str]] = []
+    for w in words:
         tested += 1
-        for tid, word, detail in _check_word(w, ids):
-            found.append((tid.value, word, detail))
+        found.extend(_check_word(w, ids))
     return tested, found
+
+
+def _run_chunk(payload) -> tuple[int, list[tuple[TheoremId, str, str]]]:
+    ids, universe, alphabet, min_len, max_len, prefix = payload
+    return _check_words(_iter_universe(universe, alphabet, min_len, max_len, prefix), ids)
 
 
 def _count_universe(
@@ -239,17 +243,37 @@ def _count_universe(
 
 
 def random_square_free(length: int, rng: random.Random, alphabet: str = TERNARY) -> str:
-    """A pseudo-random square-free word of the given length, built by
-    random extension with restart on dead ends."""
-    while True:
-        w = ""
-        while len(w) < length:
-            letters = [a for a in alphabet if extend_square_free(w, a)]
-            if not letters:
-                break
-            w += rng.choice(letters)
-        if len(w) == length:
-            return w
+    """A pseudo-random square-free word of the given length, by iterative
+    depth-first search that tries the letters at each depth in random
+    order and backtracks from dead ends.  Raises RangeError for a
+    negative length, or when no square-free word of that length exists
+    over ``alphabet``.
+    """
+    if length < 0:
+        raise RangeError(f"need length >= 0, got {length}")
+    w = ""
+    untried = [rng.sample(alphabet, len(alphabet))]  # per depth, random order
+    while len(w) < length:
+        letters = untried[-1]
+        while letters and not extend_square_free(w, letters[-1]):
+            letters.pop()
+        if letters:
+            w += letters.pop()
+            untried.append(rng.sample(alphabet, len(alphabet)))
+        elif w:
+            untried.pop()
+            w = w[:-1]
+        else:
+            raise RangeError(f"no square-free word of length {length} over {alphabet!r}")
+    return w
+
+
+def _report(
+    theorem: TheoremId, range_desc: dict, tested: int, found: list, start: float
+) -> VerificationReport:
+    """A report with its counterexamples sorted, timed from ``start``."""
+    elapsed_ms = int(round((time.perf_counter() - start) * 1000))
+    return VerificationReport(theorem.value, range_desc, tested, sorted(found), elapsed_ms)
 
 
 def verify_many(
@@ -274,6 +298,10 @@ def verify_many(
     if len(universes) > 1:
         raise RangeError("cannot share one enumeration across different universes")
     universe = universes.pop()
+    if not opts.alphabet or len(set(opts.alphabet)) != len(opts.alphabet):
+        raise RangeError(f"need a nonempty alphabet of distinct letters, got {opts.alphabet!r}")
+    if opts.jobs < 1:
+        raise RangeError(f"need jobs >= 1, got {opts.jobs}")
     if not 2 <= min_len <= max_len:
         raise RangeError(f"need 2 <= min <= max, got {min_len}..{max_len}")
     if TheoremId.UPPER_BOUND in ids and min_len < 26:
@@ -284,20 +312,15 @@ def verify_many(
     _count_universe(universe, opts.alphabet, min_len, max_len, ceiling)
 
     depth = min(3, min_len)
-    if universe == "square-free":
-        prefixes = list(square_free_words(depth, opts.alphabet))
-    else:
-        prefixes = ["".join(t) for t in itertools.product(opts.alphabet, repeat=depth)]
+    prefixes = list(_iter_universe(universe, opts.alphabet, depth, depth, ""))
     chunks = [(ids, universe, opts.alphabet, min_len, max_len, pre) for pre in prefixes]
 
-    if opts.jobs > 1:
-        with Pool(opts.jobs) as pool:
+    jobs = min(opts.jobs, len(chunks))
+    if jobs > 1:
+        with Pool(jobs) as pool:
             parts = pool.map(_run_chunk, chunks)
     else:
         parts = [_run_chunk(c) for c in chunks]
-
-    tested = sum(t for t, _ in parts)
-    found = [item for _, part in parts for item in part]
 
     range_desc: dict = {
         "minLen": min_len,
@@ -307,31 +330,22 @@ def verify_many(
     }
     if opts.random_count > 0:
         rng = random.Random(opts.seed)
-        for _ in range(opts.random_count):
-            length = rng.randint(opts.random_min, opts.random_max)
-            w = random_square_free(length, rng, opts.alphabet)
-            tested += 1
-            for tid, word, detail in _check_word(w, ids):
-                found.append((tid.value, word, detail))
+        words = (
+            random_square_free(rng.randint(opts.random_min, opts.random_max), rng, opts.alphabet)
+            for _ in range(opts.random_count)
+        )
+        parts.append(_check_words(words, ids))
         range_desc["randomCount"] = opts.random_count
         range_desc["randomMin"] = opts.random_min
         range_desc["randomMax"] = opts.random_max
         range_desc["seed"] = opts.seed
 
-    elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    reports = []
-    for tid in ids:
-        ces = sorted((w, d) for token, w, d in found if token == tid.value)
-        reports.append(
-            VerificationReport(
-                theorem=tid.value,
-                range=dict(range_desc),
-                tested=tested,
-                counterexamples=ces,
-                elapsed_ms=elapsed_ms,
-            )
-        )
-    return reports
+    tested = sum(t for t, _ in parts)
+    found = [item for _, part in parts for item in part]
+    return [
+        _report(tid, dict(range_desc), tested, [(w, d) for t, w, d in found if t is tid], start)
+        for tid in ids
+    ]
 
 
 def verify(
@@ -362,20 +376,16 @@ def verify_alpha_extremal() -> VerificationReport:
     tested = 0
     by_len: dict[int, list[str]] = {}
 
-    def walk(w: str) -> None:
-        nonlocal tested
+    def accept(w: str, a: str) -> bool:
+        # 0 then 1 would make a second 01
+        return not (w[-1] == "0" and a == "1") and extend_square_free(w, a)
+
+    for w in _walk("01", 2, _ALPHA_SEARCH_CAP + 1, TERNARY, accept):
         tested += 1
         if len(w) > _ALPHA_SEARCH_CAP:
             raise ResourceGuard("01-constrained search ran past the expected depth")
         if border_array(w)[-1] == 0:
             by_len.setdefault(len(w), []).append(w)
-        for a in TERNARY:
-            if w[-1] == "0" and a == "1":
-                continue  # a second 01 would appear
-            if extend_square_free(w, a):
-                walk(w + a)
-
-    walk("01")
     top = max(by_len)
     counterexamples = []
     if top > 13:
@@ -389,12 +399,12 @@ def verify_alpha_extremal() -> VerificationReport:
                 counterexamples.append((w, "unexpected maximal witness"))
         if ALPHA_WORD not in by_len[13]:
             counterexamples.append((ALPHA_WORD, "expected witness not found"))
-    return VerificationReport(
-        theorem=TheoremId.ALPHA_EXTREMAL.value,
-        range={"constraint": "square-free, prefix 01, no other 01 occurrence"},
-        tested=tested,
-        counterexamples=sorted(counterexamples),
-        elapsed_ms=int(round((time.perf_counter() - start) * 1000)),
+    return _report(
+        TheoremId.ALPHA_EXTREMAL,
+        {"constraint": "square-free, prefix 01, no other 01 occurrence"},
+        tested,
+        counterexamples,
+        start,
     )
 
 
@@ -418,15 +428,16 @@ def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
         if lp != local_periods_scan(w):
             found.append((w, "local-period routes disagree"))
             continue
-        per = n - border_array(w)[-1]
-        crit = [p for p in range(1, n) if lp[p - 1] == per]
+        prof = _profile_of(w, lp)
+        per = prof.period
         if not is_square_free(w):
             found.append((w, "family word not square-free"))
         if per != n:
             found.append((w, f"family word bordered: per={per} < {n}"))
-        if len(crit) != n - 5:
-            found.append((w, f"eta={len(crit)}, wanted |w|-5={n - 5}"))
-        noncrit = [p for p in range(1, n) if lp[p - 1] != per]
+        if prof.eta != n - 5:
+            found.append((w, f"eta={prof.eta}, wanted |w|-5={n - 5}"))
+        crit = set(prof.critical_points)
+        noncrit = [p for p in range(1, n) if p not in crit]
         expected_noncrit = [1, 2, n - 2, n - 1]
         if noncrit != expected_noncrit:
             found.append((w, f"non-critical points {noncrit}, wanted {expected_noncrit}"))
@@ -434,17 +445,17 @@ def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
         for offset, want_q, want_u in _BETA_EDGE:
             p = offset if offset > 0 else n + offset
             q = lp[p - 1]
-            u = _rebuild_repetition(w, p, q).u
+            u = _repetition_word(w, p, q)
             if (q, u) != (want_q, want_u):
                 found.append(
                     (w, f"p={p}: per(w,p)={q}, u={u!r}, wanted {want_q}, {want_u!r}")
                 )
-    return VerificationReport(
-        theorem=TheoremId.BETA_ETA.value,
-        range={"count": count, "searchBound": search_bound},
-        tested=len(words),
-        counterexamples=sorted(found),
-        elapsed_ms=int(round((time.perf_counter() - start) * 1000)),
+    return _report(
+        TheoremId.BETA_ETA,
+        {"count": count, "searchBound": search_bound},
+        len(words),
+        found,
+        start,
     )
 
 
@@ -456,16 +467,19 @@ def verify_wx_density(n_max: int) -> VerificationReport:
     if not 1 <= n_max <= 6:
         raise RangeError(f"need 1 <= n_max <= 6, got {n_max}")
     start = time.perf_counter()
+    cap = DEFAULT_LIMITS.max_profile_len  # the ceiling ``profile`` applies
     found: list[tuple[str, str]] = []
     for n in range(1, n_max + 1):
         x = x_n(n)
         w = construct_wx(x)
         lx, lw = len(x), len(w)
+        if lw > cap:
+            raise ResourceGuard(f"|w| = {lw} exceeds the profile ceiling {cap}")
         lp = local_periods(w)
         if lp != local_periods_scan(w):
             found.append((w, "local-period routes disagree"))
             continue
-        prof = profile(w)
+        prof = _profile_of(w, lp)
         if not is_square_free(w):
             found.append((w, f"w_x for n={n} not square-free"))
             continue
@@ -478,13 +492,7 @@ def verify_wx_density(n_max: int) -> VerificationReport:
                 (w, f"n={n}: critical interval {critical_interval(prof)}, "
                     f"wanted ({2 * lx + 4}, {3 * lx + 6})")
             )
-    return VerificationReport(
-        theorem=TheoremId.WX_DENSITY.value,
-        range={"nMax": n_max},
-        tested=n_max,
-        counterexamples=sorted(found),
-        elapsed_ms=int(round((time.perf_counter() - start) * 1000)),
-    )
+    return _report(TheoremId.WX_DENSITY, {"nMax": n_max}, n_max, found, start)
 
 
 # -- exploration (no truth claims) -------------------------------------------
@@ -523,8 +531,8 @@ def explore_problem1(
 def explore_problem2(len_max: int, max_words: int | None = None) -> dict:
     """Per-length minima of eta(w) - |w|/4 over square-free words with
     length divisible by 4, plus any exact-equality witnesses."""
-    if len_max > 30:
-        raise RangeError(f"need len_max <= 30, got {len_max}")
+    if not 4 <= len_max <= 30:
+        raise RangeError(f"need 4 <= len_max <= 30, got {len_max}")
     ceiling = max_words if max_words is not None else DEFAULT_LIMITS.max_words
     tested_total = 0
     rows = []
@@ -538,10 +546,7 @@ def explore_problem2(len_max: int, max_words: int | None = None) -> dict:
             tested_total += 1
             if tested_total > ceiling:
                 raise ResourceGuard(f"search exceeded the ceiling of {ceiling} words")
-            lp = local_periods(w)
-            per = length - border_array(w)[-1]
-            eta = sum(1 for v in lp if v == per)
-            excess = eta - quarter
+            excess = _profile_of(w, local_periods(w)).eta - quarter
             if best is None or excess < best:
                 best = excess
                 witnesses = [w] if excess == 0 else []

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from critfact.cli import run
 from critfact.periods import profile, profile_json_dict
 
@@ -145,6 +147,22 @@ def test_verify_jobs_deterministic(capsys):
     )
     d1.pop("elapsedMs"), d2.pop("elapsedMs")
     assert d1 == d2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cft", "--min", "2", "--max", "4", "--alphabet", "00"],
+        ["verify", "cft", "--min", "2", "--max", "4", "--alphabet", ""],
+        ["verify", "midpoint", "--min", "2", "--max", "4", "--jobs", "0"],
+        ["verify", "midpoint", "--min", "2", "--max", "4", "--jobs", "-3"],
+        ["enumerate", "--n", "-1"],
+        ["explore", "problem2", "--max", "3"],
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    assert run(argv) == 2
+    assert "critfact: error:" in capsys.readouterr().err
 
 
 def test_explore_cli(capsys):

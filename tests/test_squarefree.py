@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from critfact import (
     EmptyFactor,
+    RangeError,
     SquareOccurrence,
     count_square_free,
     extend_square_free,
@@ -14,6 +15,7 @@ from critfact import (
     square_free_range,
     square_free_words,
 )
+from critfact.squarefree import _walk
 from critfact.thue import m_prefix
 
 from conftest import all_words, brute_has_square
@@ -115,6 +117,20 @@ def test_square_free_range_covers_all_lengths():
     got = sorted(square_free_range(2, 5), key=lambda w: (len(w), w))
     want = [w for n in range(2, 6) for w in square_free_words(n)]
     assert got == want
+
+
+def test_square_free_range_rejects_negative_lengths():
+    with pytest.raises(RangeError):
+        square_free_range(-1, 3)
+    with pytest.raises(RangeError):
+        square_free_words(-1)
+
+
+def test_walk_without_letter_test_yields_every_word():
+    for n in range(0, 8):
+        assert list(_walk("", n, n, "012")) == list(all_words(n))
+    for n in range(0, 11):
+        assert list(_walk("", n, n, "01")) == list(all_words(n, "01"))
 
 
 def test_overlaps_self():

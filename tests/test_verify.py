@@ -13,11 +13,19 @@ from critfact import (
     verify_many,
     verify_wx_density,
 )
+from critfact.config import Limits
 from critfact.errors import ResourceGuard
-from critfact.squarefree import is_square_free
+from critfact.squarefree import find_square, is_square_free
 from critfact.verify import _check_word
 
+import importlib
 import random
+
+# the module, which the package's ``verify`` function shadows
+verify_module = importlib.import_module("critfact.verify")
+
+EX1 = "0120201202021021021"
+EX1_LP = [3, 5, 5, 2, 5, 5, 19, 19, 2, 2, 19, 19, 3, 3, 3, 3, 3, 3]
 
 
 RANGE_THEOREMS = [
@@ -87,6 +95,56 @@ def test_resource_guard():
         verify(TheoremId.CFT, 2, 11, VerifyOptions(max_words=1000))
 
 
+@pytest.mark.parametrize("alphabet", ["", "00", "011"])
+def test_verify_rejects_bad_alphabets(alphabet):
+    with pytest.raises(RangeError):
+        verify(TheoremId.CFT, 2, 4, VerifyOptions(alphabet=alphabet))
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_verify_rejects_jobs_below_one(jobs):
+    with pytest.raises(RangeError):
+        verify(TheoremId.MIDPOINT, 2, 4, VerifyOptions(jobs=jobs))
+
+
+def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(verify_module, "Pool", SerialPool)
+    # binary words from length 2 split into the 4 prefixes of length 2
+    report = verify(TheoremId.CFT, 2, 5, VerifyOptions(alphabet="01", jobs=6))
+    assert started == [4]
+    assert report.verdict == "PASS"
+
+
+@pytest.mark.parametrize(
+    "ids, max_len, alphabet",
+    [
+        ([TheoremId.MIN_REP_UNBORDERED, TheoremId.OVERFLOW_IFF_SQUAREFREE], 7, "012"),
+        ([TheoremId.CFT], 10, "01"),
+    ],
+)
+def test_jobs_do_not_change_all_word_reports(ids, max_len, alphabet):
+    docs = []
+    for jobs in (1, 2):
+        reports = verify_many(ids, 2, max_len, VerifyOptions(alphabet=alphabet, jobs=jobs))
+        docs.append([{k: v for k, v in r.to_json_dict().items() if k != "elapsedMs"} for r in reports])
+    assert docs[0] == docs[1]
+
+
 def test_jobs_do_not_change_reports():
     opts1 = VerifyOptions(jobs=1)
     opts4 = VerifyOptions(jobs=4)
@@ -100,15 +158,24 @@ def test_jobs_do_not_change_reports():
 def test_check_word_flags_violations():
     # the interval predicate really fires on a word whose critical set
     # has gaps (a non-square-free word, so no theorem is contradicted)
-    issues = _check_word("0120201202021021021", (TheoremId.INTERVAL,))
-    assert issues and issues[0][0] is TheoremId.INTERVAL
+    issues = _check_word(EX1, (TheoremId.INTERVAL,))
+    assert issues == [
+        (TheoremId.INTERVAL, EX1, "critical points not an interval: [7, 8, 11, 12]")
+    ]
     # and stays quiet on a word where the set is an interval
     assert _check_word("01020120210201021", (TheoremId.INTERVAL,)) == []
 
 
 def test_check_word_unimodal_flags_example1():
-    issues = _check_word("0120201202021021021", (TheoremId.UNIMODAL,))
-    assert len(issues) == 1
+    issues = _check_word(EX1, (TheoremId.UNIMODAL,))
+    assert issues == [(TheoremId.UNIMODAL, EX1, f"local periods not unimodal: {EX1_LP}")]
+
+
+def test_check_word_route_disagreement_fails_every_predicate(monkeypatch):
+    monkeypatch.setattr(verify_module, "local_periods", lambda w: [1] * (len(w) - 1))
+    ids = (TheoremId.CFT, TheoremId.MIDPOINT)
+    detail = f"local-period routes disagree: sweep={[1] * 18} scan={EX1_LP}"
+    assert _check_word(EX1, ids) == [(tid, EX1, detail) for tid in ids]
 
 
 def test_report_json_shape():
@@ -125,6 +192,25 @@ def test_random_square_free_sampler():
         w = random_square_free(30, rng)
         assert len(w) == 30
         assert is_square_free(w)
+
+
+def test_random_square_free_backtracks_to_long_words():
+    w = random_square_free(1000, random.Random(3))
+    assert len(w) == 1000 and set(w) <= set("012")
+    assert find_square(w) is None
+
+
+def test_random_square_free_is_seeded():
+    assert random_square_free(200, random.Random(5)) == random_square_free(200, random.Random(5))
+
+
+def test_random_square_free_rejects_impossible_lengths():
+    # no binary square-free word is longer than 3
+    assert len(random_square_free(3, random.Random(0), "01")) == 3
+    with pytest.raises(RangeError):
+        random_square_free(5, random.Random(0), "01")
+    with pytest.raises(RangeError):
+        random_square_free(-1, random.Random(0))
 
 
 def test_upper_bound_with_random_extension():
@@ -156,6 +242,14 @@ def test_wx_density_suite():
         verify_wx_density(7)
 
 
+def test_wx_density_keeps_the_profile_ceiling(monkeypatch):
+    # w_x has 44, 92 and 284 letters for n = 1, 2, 3
+    monkeypatch.setattr(verify_module, "DEFAULT_LIMITS", Limits(max_profile_len=100))
+    assert verify_wx_density(2).verdict == "PASS"
+    with pytest.raises(ResourceGuard, match="284 exceeds the profile ceiling 100"):
+        verify_wx_density(3)
+
+
 def test_explore_problem1_table():
     doc = explore_problem1(1, 9)
     rows = {row["length"]: row["witness"] for row in doc["lengths"]}
@@ -181,3 +275,5 @@ def test_explore_problem2():
         assert row["witnesses"] == []
     with pytest.raises(RangeError):
         explore_problem2(40)
+    with pytest.raises(RangeError):
+        explore_problem2(3)
