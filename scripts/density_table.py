@@ -8,20 +8,23 @@ plotting elsewhere.
 """
 
 import argparse
+import os
 import sys
 
-from critfact import beta_family, construct_wx, m_prefix, profile, x_n
+from critfact import CritfactError, beta_family, construct_wx, m_prefix, profile, x_n
 
 
-def emit(rows) -> None:
-    print("family,param,length,period,eta,density,densityOverLength")
+def table(rows) -> list[str]:
+    """The CSV lines, all computed before any is printed."""
+    lines = ["family,param,length,period,eta,density,densityOverLength"]
     for family, param, w in rows:
         prof = profile(w, max_len=len(w))
         n = len(w)
-        print(
+        lines.append(
             f"{family},{param},{n},{prof.period},{prof.eta},"
             f"{prof.eta}/{n - 1},{prof.eta}/{n}"
         )
+    return lines
 
 
 def main() -> int:
@@ -42,9 +45,13 @@ def main() -> int:
             ("beta", i, w)
             for i, w in enumerate(beta_family(args.count, args.bound), start=1)
         ]
-    emit(rows)
+    print("\n".join(table(rows)))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (CritfactError, OSError) as exc:
+        print(f"{os.path.basename(sys.argv[0])}: error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -9,10 +9,12 @@ JSON document with every report.
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from critfact import (
+    CritfactError,
     TheoremId,
     VerifyOptions,
     verify,
@@ -93,4 +95,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (CritfactError, OSError) as exc:
+        print(f"{os.path.basename(sys.argv[0])}: error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -48,57 +48,67 @@ _CONSOLE_CE_LIMIT = 10
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit one JSON document")
-    common.add_argument("--csv", action="store_true", help="emit CSV where supported")
-    common.add_argument("--out", metavar="PATH", help="write output to a file")
-    common.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="worker processes for enumerate/verify")
-    common.add_argument("--max-words", type=int, default=None, metavar="N",
-                        help="override the enumeration ceiling")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="emit one JSON document")
+    output.add_argument("--out", metavar="PATH", help="write output to a file")
+    ceiling = argparse.ArgumentParser(add_help=False, parents=[output])
+    ceiling.add_argument("--max-words", type=int, default=None, metavar="N",
+                         help="override the enumeration ceiling")
+    span = argparse.ArgumentParser(add_help=False, parents=[ceiling])
+    span.add_argument("--min", type=int, dest="min_len")
+    span.add_argument("--max", type=int, dest="max_len")
+    span.add_argument("--alphabet", default="012")
+    span.add_argument("--jobs", type=int, default=1, metavar="K", help="worker processes")
 
     top = argparse.ArgumentParser(prog="critfact",
                                   description="critical factorisation toolkit")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("profile", parents=[common], help="period profile of words")
+    p = sub.add_parser("profile", parents=[output], help="period profile of words")
     p.add_argument("word", nargs="?", help="word as a digit string")
     p.add_argument("--file", metavar="PATH", help="read one word per line")
+    p.add_argument("--csv", action="store_true", help="emit CSV")
 
-    g = sub.add_parser("global", parents=[common], help="global period of a word")
+    g = sub.add_parser("global", parents=[output], help="global period of a word")
     g.add_argument("word")
 
-    e = sub.add_parser("enumerate", parents=[common],
+    e = sub.add_parser("enumerate", parents=[ceiling],
                        help="square-free ternary words of one length")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--count-only", action="store_true")
 
-    gen = sub.add_parser("generate", parents=[common], help="generated word families")
+    gen = sub.add_parser("generate", help="generated word families")
     gsub = gen.add_subparsers(dest="family", required=True)
-    fam = gsub.add_parser("m-prefix", parents=[common])
+    fam = gsub.add_parser("m-prefix", parents=[output])
     fam.add_argument("--len", type=int, required=True, dest="length")
     for name in ("tau", "mn", "alpha", "beta", "wx"):
-        fam = gsub.add_parser(name, parents=[common])
+        fam = gsub.add_parser(name, parents=[output])
         fam.add_argument("--n", type=int, required=True)
-    fam = gsub.add_parser("wx-of", parents=[common])
+    fam = gsub.add_parser("wx-of", parents=[output])
     fam.add_argument("--x", required=True)
-    fam = gsub.add_parser("beta-family", parents=[common])
+    fam = gsub.add_parser("beta-family", parents=[output])
     fam.add_argument("--count", type=int, required=True)
     fam.add_argument("--bound", type=int, required=True)
 
-    v = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    v.add_argument("theorem", choices=[t.value for t in TheoremId])
-    v.add_argument("--min", type=int, dest="min_len")
-    v.add_argument("--max", type=int, dest="max_len")
-    v.add_argument("--alphabet", default="012")
-    v.add_argument("--count", type=int, default=3, help="beta-eta family size")
-    v.add_argument("--bound", type=int, default=10000, help="beta-eta search bound")
-    v.add_argument("--n", type=int, default=4, help="wx-density n_max")
+    v = sub.add_parser("verify", help="run a verification suite")
+    vsub = v.add_subparsers(dest="theorem", required=True)
+    for tid in TheoremId:
+        if tid not in _SUITES:
+            vsub.add_parser(tid.value, parents=[span])
+    vsub.add_parser("alpha-extremal", parents=[output])
+    t = vsub.add_parser("beta-eta", parents=[output])
+    t.add_argument("--count", type=int, default=3, help="family size")
+    t.add_argument("--bound", type=int, default=10000, help="search bound")
+    t = vsub.add_parser("wx-density", parents=[output])
+    t.add_argument("--n", type=int, default=4, help="largest n")
 
-    x = sub.add_parser("explore", parents=[common], help="open-problem searches")
-    x.add_argument("problem", choices=["problem1", "problem2"])
-    x.add_argument("--min", type=int, dest="min_len", default=1)
-    x.add_argument("--max", type=int, dest="max_len", required=True)
+    x = sub.add_parser("explore", help="open-problem searches")
+    xsub = x.add_subparsers(dest="problem", required=True)
+    q = xsub.add_parser("problem1", parents=[ceiling])
+    q.add_argument("--min", type=int, dest="min_len", default=1)
+    q.add_argument("--max", type=int, dest="max_len", required=True)
+    q = xsub.add_parser("problem2", parents=[ceiling])
+    q.add_argument("--max", type=int, dest="max_len", required=True)
     return top
 
 
@@ -217,6 +227,13 @@ _FAMILIES = {
     ),
 }
 
+# family suite -> report from the parsed arguments
+_SUITES = {
+    TheoremId.ALPHA_EXTREMAL: lambda a: verify_alpha_extremal(),
+    TheoremId.BETA_ETA: lambda a: verify_beta_eta(a.count, a.bound),
+    TheoremId.WX_DENSITY: lambda a: verify_wx_density(a.n),
+}
+
 
 def _cmd_generate(args) -> int:
     words, params = _FAMILIES[args.family](args)
@@ -262,15 +279,11 @@ def _report_plain(report) -> str:
 
 def _cmd_verify(args) -> int:
     tid = TheoremId(args.theorem)
-    if tid is TheoremId.ALPHA_EXTREMAL:
-        report = verify_alpha_extremal()
-    elif tid is TheoremId.BETA_ETA:
-        report = verify_beta_eta(args.count, args.bound)
-    elif tid is TheoremId.WX_DENSITY:
-        report = verify_wx_density(args.n)
+    if tid in _SUITES:
+        report = _SUITES[tid](args)
+    elif args.min_len is None or args.max_len is None:
+        raise CritfactError(f"verify {tid.value} needs --min and --max")
     else:
-        if args.min_len is None or args.max_len is None:
-            raise CritfactError(f"verify {tid.value} needs --min and --max")
         opts = VerifyOptions(
             alphabet=args.alphabet,
             jobs=args.jobs,
@@ -319,10 +332,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.verb](args)
-    except CritfactError as exc:
-        print(f"critfact: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CritfactError, OSError) as exc:
         print(f"critfact: error: {exc}", file=sys.stderr)
         return 2
 

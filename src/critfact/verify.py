@@ -98,7 +98,9 @@ class VerifyOptions:
     ``random_count`` adds that many pseudo-random square-free words of
     length ``random_min``..``random_max`` (seeded, so reports stay
     deterministic) after the exhaustive part; used to spot-check length
-    ranges too large to exhaust.
+    ranges too large to exhaust.  It needs ``random_count >= 0`` and,
+    when positive, ``2 <= random_min <= random_max``; the random words
+    count against ``max_words`` with the exhaustive part.
     """
 
     alphabet: str = TERNARY
@@ -226,19 +228,20 @@ def _run_chunk(payload) -> tuple[int, list[tuple[TheoremId, str, str]]]:
 
 
 def _count_universe(
-    universe: str, alphabet: str, min_len: int, max_len: int, ceiling: int
+    universe: str, alphabet: str, min_len: int, max_len: int, ceiling: int, extra: int
 ) -> int:
-    """Size of the universe, aborting early past the ceiling."""
+    """Words to test: the universe plus ``extra`` more.  Raises
+    ResourceGuard past the ceiling, walking no further than it."""
+    total = extra
     if universe == "all":
-        total = sum(len(alphabet) ** n for n in range(min_len, max_len + 1))
-        if total > ceiling:
-            raise ResourceGuard(f"{total} words exceed the ceiling {ceiling}")
-        return total
-    total = 0
-    for _ in square_free_range(min_len, max_len, alphabet):
-        total += 1
-        if total > ceiling:
-            raise ResourceGuard(f"more than {ceiling} square-free words in range")
+        total += sum(len(alphabet) ** n for n in range(min_len, max_len + 1))
+    else:
+        for _ in square_free_range(min_len, max_len, alphabet):
+            total += 1
+            if total > ceiling:
+                break
+    if total > ceiling:
+        raise ResourceGuard(f"at least {total} words to test exceed the ceiling {ceiling}")
     return total
 
 
@@ -306,10 +309,16 @@ def verify_many(
         raise RangeError(f"need 2 <= min <= max, got {min_len}..{max_len}")
     if TheoremId.UPPER_BOUND in ids and min_len < 26:
         raise RangeError("the upper-bound suite needs min length >= 26")
+    if opts.random_count < 0:
+        raise RangeError(f"need random_count >= 0, got {opts.random_count}")
+    if opts.random_count and not 2 <= opts.random_min <= opts.random_max:
+        raise RangeError(
+            f"need 2 <= random_min <= random_max, got {opts.random_min}..{opts.random_max}"
+        )
 
     start = time.perf_counter()
     ceiling = opts.max_words if opts.max_words is not None else DEFAULT_LIMITS.max_words
-    _count_universe(universe, opts.alphabet, min_len, max_len, ceiling)
+    _count_universe(universe, opts.alphabet, min_len, max_len, ceiling, opts.random_count)
 
     depth = min(3, min_len)
     prefixes = list(_iter_universe(universe, opts.alphabet, depth, depth, ""))

@@ -182,3 +182,43 @@ def test_out_file(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "global 010 --jobs 2",
+        "profile 0102 --max-words 5",
+        "enumerate --n 3 --jobs 2",
+        "verify cft --min 2 --max 3 --csv",
+        "verify beta-eta --min 2",
+        "verify alpha-extremal --jobs 2",
+        "verify midpoint --min 2 --max 3 --count 3",
+        "explore problem2 --max 4 --min 2",
+        "generate --json m-prefix --len 6",
+    ],
+)
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    assert run(argv.split()) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "family, args, params",
+    [
+        ("m-prefix", ["--len", "6"], {"len": 6}),
+        ("tau", ["--n", "2"], {"n": 2}),
+        ("mn", ["--n", "1"], {"n": 1}),
+        ("alpha", ["--n", "1"], {"n": 1}),
+        ("beta", ["--n", "1"], {"n": 1}),
+        ("wx", ["--n", "1"], {"n": 1}),
+        ("wx-of", ["--x", "120102012"], {"x": "120102012"}),
+        ("beta-family", ["--count", "2", "--bound", "10000"], {"count": 2, "bound": 10000}),
+    ],
+)
+def test_generate_families_honour_json_and_out(capsys, tmp_path, family, args, params):
+    path = tmp_path / "family.json"
+    assert run(["generate", family, *args, "--json", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    doc = json.loads(path.read_text())
+    assert (doc["family"], doc["params"]) == (family, params)

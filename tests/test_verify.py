@@ -20,6 +20,7 @@ from critfact.verify import _check_word
 
 import importlib
 import random
+from dataclasses import replace
 
 # the module, which the package's ``verify`` function shadows
 verify_module = importlib.import_module("critfact.verify")
@@ -219,6 +220,32 @@ def test_upper_bound_with_random_extension():
     assert report.verdict == "PASS"
     assert report.range["randomCount"] == 50
     assert report.tested > 50
+
+
+def test_random_extension_rejects_negative_count():
+    with pytest.raises(RangeError, match="random_count >= 0"):
+        verify(TheoremId.MIDPOINT, 2, 3, VerifyOptions(random_count=-1))
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [
+        VerifyOptions(random_count=1),  # lengths default to 0..0
+        VerifyOptions(random_count=1, random_min=5, random_max=4),
+    ],
+)
+def test_random_extension_needs_a_length_range(opts):
+    with pytest.raises(RangeError, match="2 <= random_min <= random_max"):
+        verify(TheoremId.MIDPOINT, 2, 3, opts)
+
+
+def test_random_words_count_against_the_ceiling(monkeypatch):
+    # 6 + 12 square-free words of lengths 2..3, plus 3 random ones
+    opts = VerifyOptions(max_words=21, random_count=3, random_min=4, random_max=5)
+    assert verify(TheoremId.MIDPOINT, 2, 3, opts).tested == 21
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    with pytest.raises(ResourceGuard, match="exceed the ceiling 20"):
+        verify(TheoremId.MIDPOINT, 2, 3, replace(opts, max_words=20))
 
 
 def test_alpha_extremal():
