@@ -11,14 +11,14 @@ import argparse
 import os
 import sys
 
-from critfact import CritfactError, beta_family, construct_wx, m_prefix, profile, x_n
+from critfact import CritfactError, Limits, beta_family, construct_wx, m_prefix, profile, x_n
 
 
 def table(rows) -> list[str]:
     """The CSV lines, all computed before any is printed."""
     lines = ["family,param,length,period,eta,density,densityOverLength"]
     for family, param, w in rows:
-        prof = profile(w, max_len=len(w))
+        prof = profile(w)
         n = len(w)
         lines.append(
             f"{family},{param},{n},{prof.period},{prof.eta},"
@@ -35,6 +35,7 @@ def main() -> int:
     ap.add_argument("--count", type=int, default=5)
     ap.add_argument("--bound", type=int, default=10**5)
     args = ap.parse_args()
+    Limits.from_env()  # a bad CRITFACT_* value fails before any row
 
     if args.family == "m-prefix":
         rows = [("m-prefix", L, m_prefix(L)) for L in args.lengths]

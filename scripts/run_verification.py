@@ -12,9 +12,11 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 
 from critfact import (
     CritfactError,
+    Limits,
     TheoremId,
     VerifyOptions,
     verify,
@@ -25,23 +27,17 @@ from critfact import (
 )
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--deep", action="store_true", help="acceptance-scale ranges")
-    ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--out", default=None)
-    args = ap.parse_args()
+def battery(deep: bool, jobs: int) -> list:
+    """Every report, at acceptance scale when ``deep``."""
+    sf_max = 25 if deep else 14
+    all_max = 12 if deep else 10
+    cft_ternary = 11 if deep else 9
+    cft_binary = 14 if deep else 11
 
-    sf_max = 25 if args.deep else 14
-    all_max = 12 if args.deep else 10
-    cft_ternary = 11 if args.deep else 9
-    cft_binary = 14 if args.deep else 11
-
-    t0 = time.perf_counter()
     reports = []
-    opts = VerifyOptions(jobs=args.jobs)
+    opts = VerifyOptions(jobs=jobs)
     reports.append(verify(TheoremId.CFT, 2, cft_ternary, opts))
-    reports.append(verify(TheoremId.CFT, 2, cft_binary, VerifyOptions(alphabet="01", jobs=args.jobs)))
+    reports.append(verify(TheoremId.CFT, 2, cft_binary, VerifyOptions(alphabet="01", jobs=jobs)))
     reports.extend(
         verify_many(
             [TheoremId.MIN_REP_UNBORDERED, TheoremId.OVERFLOW_IFF_SQUAREFREE],
@@ -64,31 +60,40 @@ def main() -> int:
             opts,
         )
     )
-    if args.deep:
+    if deep:
         reports.append(
             verify(
                 TheoremId.UPPER_BOUND,
                 26,
                 27,
-                VerifyOptions(jobs=args.jobs, random_count=10**4, random_min=28,
+                VerifyOptions(jobs=jobs, random_count=10**4, random_min=28,
                               random_max=60, seed=20260808),
             )
         )
     reports.append(verify_alpha_extremal())
     reports.append(verify_beta_eta(3, 10**4))
-    reports.append(verify_wx_density(4 if args.deep else 2))
+    reports.append(verify_wx_density(4 if deep else 2))
+    return reports
 
-    doc = {
-        "reports": [r.to_json_dict() for r in reports],
-        "totalElapsedMs": int(round((time.perf_counter() - t0) * 1000)),
-        "verdict": "PASS" if all(r.verdict == "PASS" for r in reports) else "FAIL",
-    }
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--deep", action="store_true", help="acceptance-scale ranges")
+    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--out", default=None)
+    args = ap.parse_args()
+    Limits.from_env()  # a bad CRITFACT_* value fails before any report
+
+    # --out is opened first, so a bad path fails before the battery runs
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        t0 = time.perf_counter()
+        reports = battery(args.deep, args.jobs)
+        doc = {
+            "reports": [r.to_json_dict() for r in reports],
+            "totalElapsedMs": int(round((time.perf_counter() - t0) * 1000)),
+            "verdict": "PASS" if all(r.verdict == "PASS" for r in reports) else "FAIL",
+        }
+        print(json.dumps(doc, indent=2), file=out)
     for r in reports:
         print(f"{r.theorem:18s} {r.verdict}  tested={r.tested}", file=sys.stderr)
     return 0 if doc["verdict"] == "PASS" else 1

@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .config import DEFAULT_LIMITS
-from .errors import CritfactError
+from .config import DEFAULT_LIMITS, Limits
+from .errors import CritfactError, ResourceGuard
 from .periods import (
     critical_interval,
     is_unimodal,
@@ -51,10 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true", help="emit one JSON document")
     output.add_argument("--out", metavar="PATH", help="write output to a file")
-    ceiling = argparse.ArgumentParser(add_help=False, parents=[output])
-    ceiling.add_argument("--max-words", type=int, default=None, metavar="N",
-                         help="override the enumeration ceiling")
-    span = argparse.ArgumentParser(add_help=False, parents=[ceiling])
+    span = argparse.ArgumentParser(add_help=False, parents=[output])
     span.add_argument("--min", type=int, dest="min_len")
     span.add_argument("--max", type=int, dest="max_len")
     span.add_argument("--alphabet", default="012")
@@ -72,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("global", parents=[output], help="global period of a word")
     g.add_argument("word")
 
-    e = sub.add_parser("enumerate", parents=[ceiling],
+    e = sub.add_parser("enumerate", parents=[output],
                        help="square-free ternary words of one length")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--count-only", action="store_true")
@@ -104,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("explore", help="open-problem searches")
     xsub = x.add_subparsers(dest="problem", required=True)
-    q = xsub.add_parser("problem1", parents=[ceiling])
+    q = xsub.add_parser("problem1", parents=[output])
     q.add_argument("--min", type=int, dest="min_len", default=1)
     q.add_argument("--max", type=int, dest="max_len", required=True)
-    q = xsub.add_parser("problem2", parents=[ceiling])
+    q = xsub.add_parser("problem2", parents=[output])
     q.add_argument("--max", type=int, dest="max_len", required=True)
     return top
 
@@ -191,13 +188,13 @@ def _cmd_global(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    ceiling = args.max_words if args.max_words is not None else DEFAULT_LIMITS.max_words
+    ceiling = DEFAULT_LIMITS.max_words
     count = 0
     lines = []
     for w in square_free_words(args.n):
         count += 1
         if count > ceiling:
-            raise CritfactError(f"enumeration exceeded the ceiling of {ceiling} words")
+            raise ResourceGuard(f"enumeration exceeded the ceiling of {ceiling} words")
         if not args.count_only:
             lines.append(w)
     if args.json:
@@ -284,11 +281,7 @@ def _cmd_verify(args) -> int:
     elif args.min_len is None or args.max_len is None:
         raise CritfactError(f"verify {tid.value} needs --min and --max")
     else:
-        opts = VerifyOptions(
-            alphabet=args.alphabet,
-            jobs=args.jobs,
-            max_words=args.max_words,
-        )
+        opts = VerifyOptions(alphabet=args.alphabet, jobs=args.jobs)
         report = verify(tid, args.min_len, args.max_len, opts)
     if args.json:
         _emit(args, json.dumps(report.to_json_dict(), indent=2))
@@ -299,9 +292,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_explore(args) -> int:
     if args.problem == "problem1":
-        doc = explore_problem1(args.min_len, args.max_len, args.max_words)
+        doc = explore_problem1(args.min_len, args.max_len)
     else:
-        doc = explore_problem2(args.max_len, args.max_words)
+        doc = explore_problem2(args.max_len)
     if args.json:
         _emit(args, json.dumps(doc, indent=2))
     else:
@@ -331,6 +324,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        Limits.from_env()  # a bad CRITFACT_* value fails every command alike
         return _DISPATCH[args.verb](args)
     except (CritfactError, OSError) as exc:
         print(f"critfact: error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Resource limits, overridable through environment variables.
+"""Resource limits, set only through environment variables.
 
 All bounds live here so CLI and library runs share one predictable
 resource envelope:
@@ -6,10 +6,15 @@ resource envelope:
     CRITFACT_MAX_WORDS        enumeration ceiling per run   (default 1_000_000)
     CRITFACT_MAX_PROFILE_LEN  longest word profiled         (default 5_000)
     CRITFACT_MAX_PREFIX_LEN   longest generated prefix      (default 2_000_000)
+
+A variable is read when a call checks its ceiling, never at import, and
+must hold a positive integer; any other value raises RangeError.
 """
 
 import os
 from dataclasses import dataclass
+
+from .errors import RangeError
 
 
 @dataclass(frozen=True)
@@ -20,15 +25,33 @@ class Limits:
 
     @classmethod
     def from_env(cls) -> "Limits":
-        def read(name: str, default: int) -> int:
-            raw = os.environ.get(name)
-            return default if raw is None else int(raw)
-
+        """Every limit as the environment sets it now."""
         return cls(
-            max_words=read("CRITFACT_MAX_WORDS", cls.max_words),
-            max_profile_len=read("CRITFACT_MAX_PROFILE_LEN", cls.max_profile_len),
-            max_prefix_len=read("CRITFACT_MAX_PREFIX_LEN", cls.max_prefix_len),
+            DEFAULT_LIMITS.max_words,
+            DEFAULT_LIMITS.max_profile_len,
+            DEFAULT_LIMITS.max_prefix_len,
         )
 
 
-DEFAULT_LIMITS = Limits.from_env()
+def _read(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise RangeError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+class _EnvLimits:
+    """The limits in force: each attribute reads its variable afresh."""
+
+    max_words = property(lambda self: _read("CRITFACT_MAX_WORDS", Limits.max_words))
+    max_profile_len = property(
+        lambda self: _read("CRITFACT_MAX_PROFILE_LEN", Limits.max_profile_len)
+    )
+    max_prefix_len = property(
+        lambda self: _read("CRITFACT_MAX_PREFIX_LEN", Limits.max_prefix_len)
+    )
+
+
+DEFAULT_LIMITS = _EnvLimits()

@@ -206,16 +206,15 @@ class PeriodProfile:
         return Fraction(self.eta, len(self.word))
 
 
-def profile(w: str, *, max_len: int | None = None) -> PeriodProfile:
+def profile(w: str) -> PeriodProfile:
     """Compute the full period profile of ``w`` (needs |w| >= 2).
 
-    Guarded by the configured profile length ceiling; pass ``max_len``
-    to override for one call.
+    Guarded by the profile length ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
     """
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
-    cap = DEFAULT_LIMITS.max_profile_len if max_len is None else max_len
+    cap = DEFAULT_LIMITS.max_profile_len
     if n > cap:
         raise ResourceGuard(f"|w| = {n} exceeds the profile ceiling {cap}")
     return _profile_of(w, local_periods(w))

@@ -66,10 +66,9 @@ def m_prefix(length: int) -> str:
     global _m_cache
     if length < 0:
         raise RangeError(f"prefix length must be >= 0, got {length}")
-    if length > DEFAULT_LIMITS.max_prefix_len:
-        raise ResourceGuard(
-            f"prefix length {length} exceeds the ceiling {DEFAULT_LIMITS.max_prefix_len}"
-        )
+    cap = DEFAULT_LIMITS.max_prefix_len
+    if length > cap:
+        raise ResourceGuard(f"prefix length {length} exceeds the ceiling {cap}")
     while len(_m_cache) < length:
         _m_cache = tau(_m_cache)
     return _m_cache[:length]

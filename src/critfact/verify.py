@@ -99,13 +99,13 @@ class VerifyOptions:
     length ``random_min``..``random_max`` (seeded, so reports stay
     deterministic) after the exhaustive part; used to spot-check length
     ranges too large to exhaust.  It needs ``random_count >= 0`` and,
-    when positive, ``2 <= random_min <= random_max``; the random words
-    count against ``max_words`` with the exhaustive part.
+    when positive, ``2 <= random_min <= random_max`` within the profile
+    ceiling; the random words count against the word ceiling with the
+    exhaustive part.
     """
 
     alphabet: str = TERNARY
     jobs: int = 1
-    max_words: int | None = None
     random_count: int = 0
     random_min: int = 0
     random_max: int = 0
@@ -315,9 +315,13 @@ def verify_many(
         raise RangeError(
             f"need 2 <= random_min <= random_max, got {opts.random_min}..{opts.random_max}"
         )
+    if opts.random_count:
+        cap = DEFAULT_LIMITS.max_profile_len  # random words are profiled too
+        if opts.random_max > cap:
+            raise ResourceGuard(f"random_max {opts.random_max} exceeds the profile ceiling {cap}")
 
     start = time.perf_counter()
-    ceiling = opts.max_words if opts.max_words is not None else DEFAULT_LIMITS.max_words
+    ceiling = DEFAULT_LIMITS.max_words
     _count_universe(universe, opts.alphabet, min_len, max_len, ceiling, opts.random_count)
 
     depth = min(3, min_len)
@@ -512,14 +516,12 @@ _PROBLEM1_NOTE = (
 )
 
 
-def explore_problem1(
-    len_min: int, len_max: int, max_words: int | None = None
-) -> dict:
+def explore_problem1(len_min: int, len_max: int) -> dict:
     """Witness-or-exhausted table: for each length, the first square-free
     x whose template word 0x02x10x02x0 is square-free, if any."""
     if not 1 <= len_min <= len_max:
         raise RangeError(f"need 1 <= min <= max, got {len_min}..{len_max}")
-    ceiling = max_words if max_words is not None else DEFAULT_LIMITS.max_words
+    ceiling = DEFAULT_LIMITS.max_words
     searched_total = 0
     rows = []
     for length in range(len_min, len_max + 1):
@@ -537,12 +539,12 @@ def explore_problem1(
     return {"problem": "problem1", "note": _PROBLEM1_NOTE, "lengths": rows}
 
 
-def explore_problem2(len_max: int, max_words: int | None = None) -> dict:
+def explore_problem2(len_max: int) -> dict:
     """Per-length minima of eta(w) - |w|/4 over square-free words with
     length divisible by 4, plus any exact-equality witnesses."""
     if not 4 <= len_max <= 30:
         raise RangeError(f"need 4 <= len_max <= 30, got {len_max}")
-    ceiling = max_words if max_words is not None else DEFAULT_LIMITS.max_words
+    ceiling = DEFAULT_LIMITS.max_words
     tested_total = 0
     rows = []
     for length in range(4, len_max + 1, 4):

@@ -78,8 +78,9 @@ def test_enumerate_counts(capsys):
     assert doc == {"n": 2, "count": 6, "words": ["01", "02", "10", "12", "20", "21"]}
 
 
-def test_enumerate_ceiling(capsys):
-    assert run(["enumerate", "--n", "10", "--count-only", "--max-words", "10"]) == 2
+def test_enumerate_ceiling(capsys, monkeypatch):
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "10")
+    assert run(["enumerate", "--n", "10", "--count-only"]) == 2
 
 
 def test_generate_wx(capsys):
@@ -196,6 +197,9 @@ def test_usage_error_exit_code(capsys):
         "verify midpoint --min 2 --max 3 --count 3",
         "explore problem2 --max 4 --min 2",
         "generate --json m-prefix --len 6",
+        "enumerate --n 3 --max-words 5",
+        "verify cft --min 2 --max 3 --max-words 9",
+        "explore problem2 --max 8 --max-words 9",
     ],
 )
 def test_flags_a_command_does_not_read_exit_2(capsys, argv):

@@ -1,4 +1,7 @@
-from critfact.config import Limits
+import pytest
+
+from critfact import RangeError, global_period, profile
+from critfact.config import DEFAULT_LIMITS, Limits
 
 
 def test_defaults():
@@ -14,3 +17,28 @@ def test_env_overrides(monkeypatch):
     assert limits.max_words == 123
     assert limits.max_profile_len == 77
     assert limits.max_prefix_len == 2_000_000
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "", "1.5", " 7"])
+def test_from_env_rejects_values_that_are_not_positive_integers(monkeypatch, raw):
+    monkeypatch.setenv("CRITFACT_MAX_PREFIX_LEN", raw)
+    with pytest.raises(RangeError, match="CRITFACT_MAX_PREFIX_LEN must be a positive integer"):
+        Limits.from_env()
+
+
+def test_default_limits_read_the_environment_at_each_access(monkeypatch):
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "abc")
+    assert DEFAULT_LIMITS.max_profile_len == 5_000  # only the variable asked for is read
+    with pytest.raises(RangeError):
+        DEFAULT_LIMITS.max_words
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "123")
+    assert DEFAULT_LIMITS.max_words == 123
+    monkeypatch.delenv("CRITFACT_MAX_WORDS")
+    assert DEFAULT_LIMITS.max_words == 1_000_000
+
+
+def test_a_bad_limit_fails_the_call_that_checks_it(monkeypatch):
+    monkeypatch.setenv("CRITFACT_MAX_PROFILE_LEN", "x")
+    assert global_period("0101") == 2
+    with pytest.raises(RangeError):
+        profile("0101")

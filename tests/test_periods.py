@@ -238,10 +238,11 @@ def test_density_over_length(example2):
     assert prof.density_over_length == Fraction(9, 17)
 
 
-def test_profile_length_ceiling():
+def test_profile_length_ceiling(monkeypatch):
     from critfact import ResourceGuard
 
     long_word = "01" * 3000
     with pytest.raises(ResourceGuard):
         profile(long_word)
-    assert profile(long_word, max_len=6000).period == 2
+    monkeypatch.setenv("CRITFACT_MAX_PROFILE_LEN", "6000")
+    assert profile(long_word).period == 2

@@ -20,7 +20,6 @@ from critfact.verify import _check_word
 
 import importlib
 import random
-from dataclasses import replace
 
 # the module, which the package's ``verify`` function shadows
 verify_module = importlib.import_module("critfact.verify")
@@ -91,9 +90,10 @@ def test_verify_rejects_bad_ranges():
         verify(TheoremId.ALPHA_EXTREMAL, 2, 5)
 
 
-def test_resource_guard():
+def test_resource_guard(monkeypatch):
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "1000")
     with pytest.raises(ResourceGuard):
-        verify(TheoremId.CFT, 2, 11, VerifyOptions(max_words=1000))
+        verify(TheoremId.CFT, 2, 11)
 
 
 @pytest.mark.parametrize("alphabet", ["", "00", "011"])
@@ -241,11 +241,23 @@ def test_random_extension_needs_a_length_range(opts):
 
 def test_random_words_count_against_the_ceiling(monkeypatch):
     # 6 + 12 square-free words of lengths 2..3, plus 3 random ones
-    opts = VerifyOptions(max_words=21, random_count=3, random_min=4, random_max=5)
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "21")
+    opts = VerifyOptions(random_count=3, random_min=4, random_max=5)
     assert verify(TheoremId.MIDPOINT, 2, 3, opts).tested == 21
     monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "20")
     with pytest.raises(ResourceGuard, match="exceed the ceiling 20"):
-        verify(TheoremId.MIDPOINT, 2, 3, replace(opts, max_words=20))
+        verify(TheoremId.MIDPOINT, 2, 3, opts)
+
+
+def test_random_words_stay_within_the_profile_ceiling(monkeypatch):
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    opts = VerifyOptions(random_count=3, random_min=6000, random_max=6000)
+    with pytest.raises(ResourceGuard, match="random_max 6000 exceeds the profile ceiling 5000"):
+        verify(TheoremId.MIDPOINT, 2, 3, opts)
+    monkeypatch.setenv("CRITFACT_MAX_PROFILE_LEN", "59")
+    with pytest.raises(ResourceGuard, match="profile ceiling 59"):
+        verify(TheoremId.MIDPOINT, 2, 3, VerifyOptions(random_count=1, random_min=2, random_max=60))
 
 
 def test_alpha_extremal():
