@@ -9,19 +9,23 @@ Vocabulary (see README for worked examples):
   global period per(w), and p is *critical* when per(w, p) = per(w).
 * eta(w) counts the critical points; density is eta / (|w| - 1).
 
-The minimal local period is computed by two independent routes:
+The minimal local period is computed by three routes:
 
 * ``local_period`` / ``local_periods_scan`` / ``is_local_period``: the
   definitional scan, trying q = 1, 2, ... with a letter-by-letter window
   check, written once and run per position.  This is the reference route.
 * ``local_periods``: a shift sweep that resolves all positions of one
   word together from per-shift mismatch prefix sums, O(n * per(w)).
-  ``profile`` uses it.
+  ``profile`` and every other single-word caller use it.
+* ``_extend_local_periods``: the trie step, which derives the local
+  periods of w.a from those of w.  The walker of ``squarefree`` runs it
+  down the range-suite universes.
 
-The two share no code and must agree everywhere; verification runs
-recompute both and treat any disagreement as a failure of the run
-itself.  One builder turns local periods into a profile, for ``profile``
-and for the verification suites.
+The scan shares no code with the other two, and they must agree with it
+everywhere; verification runs recompute the scan beside the fast route
+and treat any disagreement as a failure of the run itself.  One builder
+turns local periods into a profile, for ``profile`` and for the
+verification suites.
 """
 
 from __future__ import annotations
@@ -86,7 +90,8 @@ def local_periods_scan(w: str) -> list[int]:
     """Minimal local periods at every position, reference route.
 
     The definitional scan at each position in turn; kept free of
-    shortcuts so it can serve as the oracle for the sweep.
+    shortcuts so it can serve as the oracle for the sweep and the
+    trie step.
     """
     n = len(w)
     if n < 2:
@@ -130,6 +135,38 @@ def local_periods(w: str) -> list[int]:
             return out
         pending = still
     raise AssertionError("unreachable: q = per(w) resolves all positions")
+
+
+def _extend_local_periods(s: str, lp: list[int]) -> list[int]:
+    """Minimal local periods of s = w.a, given ``lp``, those of the
+    nonempty word w.
+
+    Appending a letter only enlarges each matching window, so
+    per(s, p) >= per(w, p).  At p < |w| the window of q = per(w, p)
+    gains the one index |w|-q exactly when q > |w|-p, and the search
+    resumes only if that letter differs from a.  Every larger candidate
+    q' has |w|-q' as the last index of its window, so only the q' that
+    put an earlier a there (found by ``rfind``) get a slice comparison
+    of the rest of the window; with no a left, q' = |s|, whose window is
+    empty.  At the new position p = |w| the window of q is that single
+    index, so per(s, |w|) is the distance back to the last a in w.
+    """
+    m = len(s) - 1
+    a = s[m]
+    out = lp[:]
+    for p in range(1, m):
+        q = out[p - 1]
+        if q > m - p and s[m - q] != a:
+            i = s.rfind(a, 0, m - q)
+            while i >= 0:
+                q = m - i
+                lo = p - q if p > q else 0
+                if s[lo:i] == s[lo + q : m]:
+                    break
+                i = s.rfind(a, 0, i)
+            out[p - 1] = m - i
+    out.append(m - s.rfind(a, 0, m))
+    return out
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ has none.  Two detection routes are kept deliberately independent:
 
 One depth-first walker enumerates words; ``square_free_range`` and
 ``square_free_words`` run it with ``extend_square_free`` as letter test.
+On request it also carries each word's local periods down the trie.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import EmptyFactor, RangeError
+from .periods import _extend_local_periods
 from .words import TERNARY
 
 # find_square stays the canonical route below this length; has_square
@@ -146,22 +148,30 @@ def _walk(
     max_len: int,
     alphabet: str,
     accept: Callable[[str, str], bool] | None = None,
-) -> Iterator[str]:
+    lp: list[int] | None = None,
+) -> Iterator:
     """Yield ``prefix`` and its extensions whose length lies in
     [min_len, max_len], depth first in pre-order, so each length comes
     out in lexicographic order of ``alphabet``.  A letter a extends w
     only when ``accept(w, a)`` holds; without ``accept`` every word is
     walked.  Iterative, so the depth is not bounded by recursion.
+
+    Given ``lp``, the local periods of a nonempty ``prefix``, it yields
+    ``(w, local periods of w)`` pairs instead: each stack entry carries
+    its word's periods, stepped from its parent's by
+    ``periods._extend_local_periods``.  Without ``lp`` no step runs.
     """
-    stack = [prefix]
+    step = _extend_local_periods
+    stack = [(prefix, lp)]
     while stack:
-        w = stack.pop()
+        w, lp = stack.pop()
         if len(w) >= min_len:
-            yield w
+            yield w if lp is None else (w, lp)
         if len(w) < max_len:
             for a in reversed(alphabet):
                 if accept is None or accept(w, a):
-                    stack.append(w + a)
+                    s = w + a
+                    stack.append((s, None if lp is None else step(s, lp)))
 
 
 def square_free_range(

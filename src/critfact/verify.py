@@ -1,8 +1,12 @@
 """Theorem-by-theorem verification over exhaustive word universes.
 
-Each suite re-derives every local-period sequence through BOTH routes
-(shift sweep and definitional scan); any disagreement is reported as a
-counterexample no matter what the suite itself would have concluded.
+Each suite derives every local-period sequence through a fast route
+and again through the definitional scan; any disagreement is reported
+as a counterexample no matter what the suite itself would have
+concluded.  The range suites take the fast route from the walk, which
+steps each word's local periods down from its parent's (the trie step)
+after seeding each chunk prefix with the shift sweep; the family suites
+and the explorations run the sweep on each word.
 
 Range suites (``verify`` / ``verify_many``) walk a word universe
 determined by the theorem:
@@ -16,7 +20,8 @@ Every walk, including the 01-constrained search of
 ``verify_alpha_extremal``, runs the one depth-first walker of
 ``squarefree``; the all-words universe runs it with no letter test.
 Profiles come from the builder behind ``periods.profile``, fed the
-sweep once the scan agrees with it; ``_report`` builds every report.
+fast route's local periods once the scan agrees with them; ``_report``
+builds every report.
 
 Runs can be partitioned by word prefix across worker processes; merged
 reports are independent of the worker count (counts are summed and
@@ -137,13 +142,18 @@ class VerificationReport:
         }
 
 
-def _check_word(w: str, ids: tuple[TheoremId, ...]) -> list[tuple[TheoremId, str, str]]:
-    """Run the per-word predicates; a route disagreement fails them all."""
+def _check_word(
+    w: str, ids: tuple[TheoremId, ...], lp: list[int] | None = None, route: str = "sweep"
+) -> list[tuple[TheoremId, str, str]]:
+    """Run the per-word predicates on ``lp``, the local periods of ``w``
+    by ``route`` (the sweep when not given); a disagreement with the scan
+    fails them all."""
     n = len(w)
-    lp = local_periods(w)
+    if lp is None:
+        lp = local_periods(w)
     scan = local_periods_scan(w)
     if lp != scan:
-        detail = f"local-period routes disagree: sweep={lp} scan={scan}"
+        detail = f"local-period routes disagree: {route}={lp} scan={scan}"
         return [(tid, w, detail) for tid in ids]
     prof = _profile_of(w, lp)
     per, crit, mid = prof.period, prof.critical_points, prof.midpoint
@@ -211,20 +221,28 @@ def _iter_universe(
 
 
 def _check_words(
-    words: Iterable[str], ids: tuple[TheoremId, ...]
+    words: Iterable[tuple[str, list[int] | None, str]], ids: tuple[TheoremId, ...]
 ) -> tuple[int, list[tuple[TheoremId, str, str]]]:
-    """Number of words checked, and the issues ``_check_word`` found."""
+    """Number of (word, local periods, route) triples checked, and the
+    issues ``_check_word`` found."""
     tested = 0
     found: list[tuple[TheoremId, str, str]] = []
-    for w in words:
+    for w, lp, route in words:
         tested += 1
-        found.extend(_check_word(w, ids))
+        found.extend(_check_word(w, ids, lp, route))
     return tested, found
 
 
 def _run_chunk(payload) -> tuple[int, list[tuple[TheoremId, str, str]]]:
+    """Check the chunk's prefix with the sweep's local periods, and every
+    longer word with those the walk steps down from them."""
     ids, universe, alphabet, min_len, max_len, prefix = payload
-    return _check_words(_iter_universe(universe, alphabet, min_len, max_len, prefix), ids)
+    accept = extend_square_free if universe == "square-free" else None
+    walk = _walk(prefix, min_len, max_len, alphabet, accept, local_periods(prefix))
+    depth = len(prefix)
+    return _check_words(
+        ((w, lp, "sweep" if len(w) == depth else "trie") for w, lp in walk), ids
+    )
 
 
 def _count_universe(
@@ -347,7 +365,7 @@ def verify_many(
             random_square_free(rng.randint(opts.random_min, opts.random_max), rng, opts.alphabet)
             for _ in range(opts.random_count)
         )
-        parts.append(_check_words(words, ids))
+        parts.append(_check_words(((w, None, "sweep") for w in words), ids))
         range_desc["randomCount"] = opts.random_count
         range_desc["randomMin"] = opts.random_min
         range_desc["randomMax"] = opts.random_max

@@ -60,7 +60,7 @@ def test_profile_rejects_blank_line(capsys, tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("010\n\n012\n")
     assert run(["profile", "--file", str(path)]) == 2
-    assert "line" in capsys.readouterr().err or True
+    assert ":2: empty word" in capsys.readouterr().err
 
 
 def test_global_verb(capsys):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,11 @@ from critfact import (
     profile_csv_rows,
     profile_json_dict,
     repetition_info,
+    random_square_free,
     reverse,
 )
-from critfact.squarefree import square_free_words
+from critfact.periods import _extend_local_periods
+from critfact.squarefree import _walk, square_free_words
 
 from conftest import all_words, brute_local_period, repetition_candidates
 
@@ -93,6 +96,44 @@ def test_scan_and_sweep_agree_exhaustively():
 @given(st.text(alphabet="012", min_size=2, max_size=150))
 def test_scan_and_sweep_agree_random(w):
     assert local_periods(w) == local_periods_scan(w)
+
+
+def _stepped_prefixes(w):
+    """Each prefix of ``w`` from length 2 on, with the local periods the
+    trie step gives it, starting from a one-letter word's empty list."""
+    lp = []
+    for k in range(2, len(w) + 1):
+        lp = _extend_local_periods(w[:k], lp)
+        yield w[:k], lp
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from(["01", "012", "0123"]).flatmap(
+        lambda alphabet: st.text(alphabet=alphabet, min_size=2, max_size=60)
+    )
+)
+def test_trie_step_equals_scan_letter_by_letter(w):
+    for prefix, lp in _stepped_prefixes(w):
+        assert lp == local_periods_scan(prefix), prefix
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["012", "0123"]), st.integers(2, 80), st.integers(0, 2**32))
+def test_trie_step_equals_scan_along_random_square_free_words(alphabet, length, seed):
+    w = random_square_free(length, random.Random(seed), alphabet)
+    for prefix, lp in _stepped_prefixes(w):
+        assert lp == local_periods_scan(prefix), prefix
+
+
+def test_trie_step_equals_scan_exhaustively():
+    # every ternary word of length 2..9, each stepped from its parent
+    walked = 0
+    for letter in "012":
+        for w, lp in _walk(letter, 2, 9, "012", lp=[]):
+            walked += 1
+            assert lp == local_periods_scan(w), w
+    assert walked == sum(3**n for n in range(2, 10))
 
 
 def test_repetition_info_examples(example2):

@@ -15,8 +15,12 @@ from critfact import (
     square_free_range,
     square_free_words,
 )
+from critfact import squarefree as squarefree_module
+from critfact.cli import run
+from critfact.periods import local_periods, local_periods_scan
 from critfact.squarefree import _walk
 from critfact.thue import m_prefix
+from critfact.verify import _count_universe, verify_alpha_extremal
 
 from conftest import all_words, brute_has_square
 
@@ -131,6 +135,27 @@ def test_walk_without_letter_test_yields_every_word():
         assert list(_walk("", n, n, "012")) == list(all_words(n))
     for n in range(0, 11):
         assert list(_walk("", n, n, "01")) == list(all_words(n, "01"))
+
+
+def test_walk_carries_local_periods_on_request():
+    for prefix in ("01", "0120"):
+        pairs = list(_walk(prefix, 2, 16, "012", extend_square_free, local_periods(prefix)))
+        assert [w for w, _ in pairs] == list(square_free_range(2, 16, prefix=prefix))
+        for w, lp in pairs:
+            assert lp == local_periods_scan(w), w
+
+
+def test_bare_walks_run_no_trie_step(monkeypatch, capsys):
+    def refuse(s, lp):
+        raise AssertionError("the trie step ran on a bare walk")
+
+    monkeypatch.setattr(squarefree_module, "_extend_local_periods", refuse)
+    assert count_square_free(12) == 264
+    assert sum(1 for _ in _walk("", 0, 8, "012")) == sum(3**n for n in range(9))
+    assert _count_universe("square-free", "012", 2, 14, 10**6, 0) == 1764
+    assert verify_alpha_extremal().verdict == "PASS"
+    assert run(["enumerate", "--n", "10", "--count-only"]) == 0
+    assert capsys.readouterr().out.strip() == "144"
 
 
 def test_overlaps_self():

@@ -13,9 +13,11 @@ from critfact import (
     verify_many,
     verify_wx_density,
 )
+from critfact import squarefree as squarefree_module
 from critfact.config import Limits
 from critfact.errors import ResourceGuard
-from critfact.squarefree import find_square, is_square_free
+from critfact.periods import local_periods_scan
+from critfact.squarefree import find_square, is_square_free, square_free_words
 from critfact.verify import _check_word
 
 import importlib
@@ -177,6 +179,36 @@ def test_check_word_route_disagreement_fails_every_predicate(monkeypatch):
     ids = (TheoremId.CFT, TheoremId.MIDPOINT)
     detail = f"local-period routes disagree: sweep={[1] * 18} scan={EX1_LP}"
     assert _check_word(EX1, ids) == [(tid, EX1, detail) for tid in ids]
+
+
+def test_scan_guards_the_trie_step(monkeypatch):
+    step = squarefree_module._extend_local_periods
+
+    def one_wrong_value(s, lp):
+        out = step(s, lp)
+        if s == "01201":
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(squarefree_module, "_extend_local_periods", one_wrong_value)
+    report = verify(TheoremId.MIDPOINT, 2, 8)
+    assert report.verdict == "FAIL"
+    scan = local_periods_scan("01201")
+    wrong = scan[:-1] + [scan[-1] + 1]
+    detail = f"local-period routes disagree: trie={wrong} scan={scan}"
+    assert ("01201", detail) in report.counterexamples
+    # only the word and the descendants that inherit its periods fail
+    assert all(w.startswith("01201") for w, _ in report.counterexamples)
+
+
+def test_chunk_prefixes_are_fed_the_sweep(monkeypatch):
+    monkeypatch.setattr(verify_module, "local_periods", lambda w: [1] * (len(w) - 1))
+    report = verify(TheoremId.MIDPOINT, 3, 3)
+    assert report.tested == 12
+    assert report.counterexamples == [
+        (w, f"local-period routes disagree: sweep={[1, 1]} scan={local_periods_scan(w)}")
+        for w in sorted(square_free_words(3))
+    ]
 
 
 def test_report_json_shape():
