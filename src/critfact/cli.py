@@ -21,7 +21,7 @@ from .periods import (
     profile_csv_rows,
     profile_json_dict,
 )
-from .squarefree import is_square_free, square_free_words
+from .squarefree import count_square_free, is_square_free, square_free_words
 from .thue import (
     alpha_n,
     beta_family,
@@ -188,24 +188,23 @@ def _cmd_global(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    ceiling = DEFAULT_LIMITS.max_words
-    count = 0
-    lines = []
-    for w in square_free_words(args.n):
-        count += 1
-        if count > ceiling:
-            raise ResourceGuard(f"enumeration exceeded the ceiling of {ceiling} words")
-        if not args.count_only:
+    if args.count_only:
+        count = count_square_free(args.n)
+    else:
+        ceiling = DEFAULT_LIMITS.max_words
+        lines = []
+        for w in square_free_words(args.n):
             lines.append(w)
+            if len(lines) > ceiling:
+                raise ResourceGuard(f"enumeration exceeded the ceiling of {ceiling} words")
+        count = len(lines)
     if args.json:
         doc: dict = {"n": args.n, "count": count}
         if not args.count_only:
             doc["words"] = lines
         _emit(args, json.dumps(doc, indent=2))
-    elif args.count_only:
-        _emit(args, str(count))
     else:
-        _emit(args, "\n".join(lines) if lines else "")
+        _emit(args, str(count) if args.count_only else "\n".join(lines))
     return 0
 
 

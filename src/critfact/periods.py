@@ -19,13 +19,13 @@ The minimal local period is computed by three routes:
   ``profile`` and every other single-word caller use it.
 * ``_extend_local_periods``: the trie step, which derives the local
   periods of w.a from those of w.  The walker of ``squarefree`` runs it
-  down the range-suite universes.
+  down the range-suite universes and the ``explore problem2`` search.
 
 The scan shares no code with the other two, and they must agree with it
-everywhere; verification runs recompute the scan beside the fast route
-and treat any disagreement as a failure of the run itself.  One builder
-turns local periods into a profile, for ``profile`` and for the
-verification suites.
+everywhere; the verification suites and ``explore problem2`` recompute
+the scan beside the fast route and treat any disagreement as a failure
+of the run itself.  One builder turns local periods into a profile, for
+``profile`` and for those checked runs.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import EmptyFactor, RangeError
+from .config import DEFAULT_LIMITS
+from .errors import EmptyFactor, RangeError, ResourceGuard
 from .periods import _extend_local_periods
 from .words import TERNARY
 
@@ -201,8 +202,15 @@ def square_free_words(
 
 
 def count_square_free(n: int, alphabet: str = TERNARY) -> int:
-    """Number of square-free words of length ``n`` over ``alphabet``."""
-    return sum(1 for _ in square_free_words(n, alphabet))
+    """Number of square-free words of length ``n`` over ``alphabet``.
+    Raises ResourceGuard past the word ceiling, ``CRITFACT_MAX_WORDS``."""
+    ceiling = DEFAULT_LIMITS.max_words
+    count = 0
+    for _ in square_free_words(n, alphabet):
+        count += 1
+        if count > ceiling:
+            raise ResourceGuard(f"enumeration exceeded the ceiling of {ceiling} words")
+    return count
 
 
 def overlaps_self(x: str, w: str) -> bool:

@@ -42,12 +42,18 @@ def tau_iter(letter: str, n: int) -> str:
     """tau applied ``n`` times to a single letter.
 
     Lengths: |tau^n(0)| = 3 * 2^(n-1), |tau^n(1)| = 2^n,
-    |tau^n(2)| = 2^(n-1) for n >= 1.
+    |tau^n(2)| = 2^(n-1) for n >= 1.  Guarded by the configured prefix
+    ceiling, checked on that length before iterating.
     """
     if n < 0:
         raise RangeError(f"iteration count must be >= 0, got {n}")
     if letter not in TAU:
         raise AlphabetError(f"letter {letter!r} outside the ternary alphabet")
+    cap = DEFAULT_LIMITS.max_prefix_len
+    # |tau^n(a)| = |tau(a)| * 2^(n-1) >= 2^(n-1): a huge n fails on the
+    # exponent alone, before any huge integer is built
+    if n and (n > cap.bit_length() or len(TAU[letter]) << (n - 1) > cap):
+        raise ResourceGuard(f"|tau^{n}({letter})| exceeds the prefix ceiling {cap}")
     w = letter
     for _ in range(n):
         w = tau(w)

@@ -1,12 +1,13 @@
 """Theorem-by-theorem verification over exhaustive word universes.
 
-Each suite derives every local-period sequence through a fast route
-and again through the definitional scan; any disagreement is reported
-as a counterexample no matter what the suite itself would have
-concluded.  The range suites take the fast route from the walk, which
-steps each word's local periods down from its parent's (the trie step)
-after seeding each chunk prefix with the shift sweep; the family suites
-and the explorations run the sweep on each word.
+Every local-period sequence behind a verdict or an exploration row
+comes from a fast route and meets the definitional scan in one place,
+``_checked_profile``, which builds the profile only when they agree.
+A suite reports a disagreement as a counterexample whatever it would
+have concluded; ``explore_problem2`` raises CritfactError.  The range
+suites and ``explore_problem2`` step local periods down the walk from
+each word's parent (the trie step); chunk prefixes, family words and
+random words take the shift sweep.
 
 Range suites (``verify`` / ``verify_many``) walk a word universe
 determined by the theorem:
@@ -19,9 +20,9 @@ determined by the theorem:
 Every walk, including the 01-constrained search of
 ``verify_alpha_extremal``, runs the one depth-first walker of
 ``squarefree``; the all-words universe runs it with no letter test.
-Profiles come from the builder behind ``periods.profile``, fed the
-fast route's local periods once the scan agrees with them; ``_report``
-builds every report.
+``_check_word`` runs the per-word predicates of the range suites and of
+``verify_beta_eta`` and ``verify_wx_density``, whose predicates depend
+on the word alone; ``_report`` builds every report.
 
 Runs can be partitioned by word prefix across worker processes; merged
 reports are independent of the worker count (counts are summed and
@@ -42,8 +43,9 @@ from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 from .config import DEFAULT_LIMITS
-from .errors import RangeError, ResourceGuard
+from .errors import CritfactError, RangeError, ResourceGuard
 from .periods import (
+    PeriodProfile,
     _profile_of,
     _repetition_word,
     critical_interval,
@@ -142,6 +144,19 @@ class VerificationReport:
         }
 
 
+class _RoutesDisagree(CritfactError):
+    """A fast route's local periods differ from the scan's."""
+
+
+def _checked_profile(w: str, lp: list[int], route: str) -> PeriodProfile:
+    """The profile of ``w`` from ``lp``, its local periods by ``route``,
+    once the scan agrees with them; raises _RoutesDisagree otherwise."""
+    scan = local_periods_scan(w)
+    if lp != scan:
+        raise _RoutesDisagree(f"local-period routes disagree: {route}={lp} scan={scan}")
+    return _profile_of(w, lp)
+
+
 def _check_word(
     w: str, ids: tuple[TheoremId, ...], lp: list[int] | None = None, route: str = "sweep"
 ) -> list[tuple[TheoremId, str, str]]:
@@ -151,11 +166,10 @@ def _check_word(
     n = len(w)
     if lp is None:
         lp = local_periods(w)
-    scan = local_periods_scan(w)
-    if lp != scan:
-        detail = f"local-period routes disagree: {route}={lp} scan={scan}"
-        return [(tid, w, detail) for tid in ids]
-    prof = _profile_of(w, lp)
+    try:
+        prof = _checked_profile(w, lp, route)
+    except _RoutesDisagree as exc:
+        return [(tid, w, str(exc)) for tid in ids]
     per, crit, mid = prof.period, prof.critical_points, prof.midpoint
     issues = []
     for tid in ids:
@@ -207,8 +221,40 @@ def _check_word(
         elif tid is TheoremId.LOWER_BOUND:
             if 4 * prof.eta < n:
                 issues.append((tid, w, f"4*eta={4 * prof.eta} below |w|={n}"))
+        elif tid is TheoremId.BETA_ETA:
+            if not is_square_free(w):
+                issues.append((tid, w, "family word not square-free"))
+            if per != n:
+                issues.append((tid, w, f"family word bordered: per={per} < {n}"))
+            if prof.eta != n - 5:
+                issues.append((tid, w, f"eta={prof.eta}, wanted |w|-5={n - 5}"))
+            noncrit = [p for p, q in enumerate(lp, 1) if q != per]
+            edges = [1, 2, n - 2, n - 1]
+            if noncrit != edges:
+                issues.append((tid, w, f"non-critical points {noncrit}, wanted {edges}"))
+                continue
+            for p, want in zip(edges, _BETA_EDGE):
+                q = lp[p - 1]
+                u = _repetition_word(w, p, q)
+                if (q, u) != want:
+                    issues.append(
+                        (tid, w, f"p={p}: per(w,p)={q}, u={u!r}, wanted {want[0]}, {want[1]!r}")
+                    )
+        elif tid is TheoremId.WX_DENSITY:
+            lx = (n - 8) // 4  # w = 0x02x10x02x0
+            k = (lx - 5).bit_length() // 2  # x = x_k has 4^k + 5 letters
+            if not is_square_free(w):
+                issues.append((tid, w, f"w_x for n={k} not square-free"))
+                continue
+            if prof.eta != lx + 3:
+                issues.append((tid, w, f"n={k}: eta={prof.eta}, wanted |x|+3={lx + 3}"))
+            if Fraction(prof.eta, n) != Fraction(1, 4) + Fraction(1, n):
+                issues.append((tid, w, f"n={k}: eta/|w| is not exactly 1/4 + 1/|w|"))
+            interval, want = critical_interval(prof), (2 * lx + 4, 3 * lx + 6)
+            if interval != want:
+                issues.append((tid, w, f"n={k}: critical interval {interval}, wanted {want}"))
         else:
-            raise RangeError(f"{tid.value} is not a range suite")
+            raise RangeError(f"{tid.value} is not checked word by word")
     return issues
 
 
@@ -440,8 +486,8 @@ def verify_alpha_extremal() -> VerificationReport:
 
 
 # Local periods and repetition words demanded of the four non-critical
-# points of every maximal-eta family word.
-_BETA_EDGE = ((1, 2, "10"), (2, 4, "0201"), (-2, 4, "1202"), (-1, 2, "21"))
+# points 1, 2, |w|-2 and |w|-1 of every maximal-eta family word.
+_BETA_EDGE = ((2, "10"), (4, "0201"), (4, "1202"), (2, "21"))
 
 
 def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
@@ -452,42 +498,9 @@ def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
     """
     start = time.perf_counter()
     words = beta_family(count, search_bound)
-    found: list[tuple[str, str]] = []
-    for w in words:
-        n = len(w)
-        lp = local_periods(w)
-        if lp != local_periods_scan(w):
-            found.append((w, "local-period routes disagree"))
-            continue
-        prof = _profile_of(w, lp)
-        per = prof.period
-        if not is_square_free(w):
-            found.append((w, "family word not square-free"))
-        if per != n:
-            found.append((w, f"family word bordered: per={per} < {n}"))
-        if prof.eta != n - 5:
-            found.append((w, f"eta={prof.eta}, wanted |w|-5={n - 5}"))
-        crit = set(prof.critical_points)
-        noncrit = [p for p in range(1, n) if p not in crit]
-        expected_noncrit = [1, 2, n - 2, n - 1]
-        if noncrit != expected_noncrit:
-            found.append((w, f"non-critical points {noncrit}, wanted {expected_noncrit}"))
-            continue
-        for offset, want_q, want_u in _BETA_EDGE:
-            p = offset if offset > 0 else n + offset
-            q = lp[p - 1]
-            u = _repetition_word(w, p, q)
-            if (q, u) != (want_q, want_u):
-                found.append(
-                    (w, f"p={p}: per(w,p)={q}, u={u!r}, wanted {want_q}, {want_u!r}")
-                )
-    return _report(
-        TheoremId.BETA_ETA,
-        {"count": count, "searchBound": search_bound},
-        len(words),
-        found,
-        start,
-    )
+    tested, found = _check_words(((w, None, "sweep") for w in words), (TheoremId.BETA_ETA,))
+    range_desc = {"count": count, "searchBound": search_bound}
+    return _report(TheoremId.BETA_ETA, range_desc, tested, [(w, d) for _, w, d in found], start)
 
 
 def verify_wx_density(n_max: int) -> VerificationReport:
@@ -498,32 +511,14 @@ def verify_wx_density(n_max: int) -> VerificationReport:
     if not 1 <= n_max <= 6:
         raise RangeError(f"need 1 <= n_max <= 6, got {n_max}")
     start = time.perf_counter()
+    words = [construct_wx(x_n(n)) for n in range(1, n_max + 1)]
     cap = DEFAULT_LIMITS.max_profile_len  # the ceiling ``profile`` applies
-    found: list[tuple[str, str]] = []
-    for n in range(1, n_max + 1):
-        x = x_n(n)
-        w = construct_wx(x)
-        lx, lw = len(x), len(w)
-        if lw > cap:
-            raise ResourceGuard(f"|w| = {lw} exceeds the profile ceiling {cap}")
-        lp = local_periods(w)
-        if lp != local_periods_scan(w):
-            found.append((w, "local-period routes disagree"))
-            continue
-        prof = _profile_of(w, lp)
-        if not is_square_free(w):
-            found.append((w, f"w_x for n={n} not square-free"))
-            continue
-        if prof.eta != lx + 3:
-            found.append((w, f"n={n}: eta={prof.eta}, wanted |x|+3={lx + 3}"))
-        if Fraction(prof.eta, lw) != Fraction(1, 4) + Fraction(1, lw):
-            found.append((w, f"n={n}: eta/|w| is not exactly 1/4 + 1/|w|"))
-        if critical_interval(prof) != (2 * lx + 4, 3 * lx + 6):
-            found.append(
-                (w, f"n={n}: critical interval {critical_interval(prof)}, "
-                    f"wanted ({2 * lx + 4}, {3 * lx + 6})")
-            )
-    return _report(TheoremId.WX_DENSITY, {"nMax": n_max}, n_max, found, start)
+    for w in words:
+        if len(w) > cap:
+            raise ResourceGuard(f"|w| = {len(w)} exceeds the profile ceiling {cap}")
+    tested, found = _check_words(((w, None, "sweep") for w in words), (TheoremId.WX_DENSITY,))
+    found_pairs = [(w, d) for _, w, d in found]
+    return _report(TheoremId.WX_DENSITY, {"nMax": n_max}, tested, found_pairs, start)
 
 
 # -- exploration (no truth claims) -------------------------------------------
@@ -559,29 +554,30 @@ def explore_problem1(len_min: int, len_max: int) -> dict:
 
 def explore_problem2(len_max: int) -> dict:
     """Per-length minima of eta(w) - |w|/4 over square-free words with
-    length divisible by 4, plus any exact-equality witnesses."""
+    length divisible by 4, plus any exact-equality witnesses, from one
+    walk that steps local periods down the trie; the scan checks them on
+    every word reported, and a disagreement raises CritfactError."""
     if not 4 <= len_max <= 30:
         raise RangeError(f"need 4 <= len_max <= 30, got {len_max}")
     ceiling = DEFAULT_LIMITS.max_words
     tested_total = 0
-    rows = []
-    for length in range(4, len_max + 1, 4):
-        best = None
-        witnesses: list[str] = []
-        tested = 0
-        quarter = length // 4
-        for w in square_free_words(length):
-            tested += 1
+    rows = {
+        length: {"length": length, "minExcess": None, "witnesses": [], "tested": 0}
+        for length in range(4, len_max + 1, 4)
+    }
+    for a in TERNARY:  # a single letter has no positions, so no local periods
+        for w, lp in _walk(a, 4, len_max, TERNARY, extend_square_free, []):
+            if len(w) % 4:
+                continue
             tested_total += 1
             if tested_total > ceiling:
                 raise ResourceGuard(f"search exceeded the ceiling of {ceiling} words")
-            excess = _profile_of(w, local_periods(w)).eta - quarter
-            if best is None or excess < best:
-                best = excess
-                witnesses = [w] if excess == 0 else []
+            row = rows[len(w)]
+            row["tested"] += 1
+            excess = _checked_profile(w, lp, "trie").eta - len(w) // 4
+            if row["minExcess"] is None or excess < row["minExcess"]:
+                row["minExcess"] = excess
+                row["witnesses"] = [w] if excess == 0 else []
             elif excess == 0:
-                witnesses.append(w)
-        rows.append(
-            {"length": length, "minExcess": best, "witnesses": witnesses, "tested": tested}
-        )
-    return {"problem": "problem2", "lengths": rows}
+                row["witnesses"].append(w)
+    return {"problem": "problem2", "lengths": list(rows.values())}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -226,3 +227,24 @@ def test_generate_families_honour_json_and_out(capsys, tmp_path, family, args, p
     assert capsys.readouterr().out == ""
     doc = json.loads(path.read_text())
     assert (doc["family"], doc["params"]) == (family, params)
+
+
+@pytest.mark.parametrize(
+    "max_len, digest",
+    [
+        ("20", "0b761298fdf9b65ffbfb1fdce105707531d06cb8f2e961a840c151abeea03a29"),
+        ("24", "c76b4d94f4cab4552574136f581c977e80a2e94ec91308e5a679b5cd0a1ca698"),
+    ],
+)
+def test_problem2_document_is_pinned(capsys, max_len, digest):
+    assert run(["explore", "problem2", "--max", max_len, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_generate_tau_keeps_the_prefix_ceiling(capsys, monkeypatch):
+    monkeypatch.setenv("CRITFACT_MAX_PREFIX_LEN", "1000")
+    assert run(["generate", "tau", "--n", "12"]) == 2
+    assert capsys.readouterr().err == (
+        "critfact: error: |tau^12(0)| exceeds the prefix ceiling 1000\n"
+    )

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from critfact import (
     EmptyFactor,
     RangeError,
+    ResourceGuard,
     SquareOccurrence,
     count_square_free,
     extend_square_free,
@@ -182,3 +183,13 @@ def test_factors_of_square_free_words_are_square_free():
         for i in range(len(w)):
             for j in range(i + 1, len(w) + 1):
                 assert is_square_free(w[i:j])
+
+
+def test_count_square_free_keeps_the_word_ceiling(monkeypatch, capsys):
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "10")
+    assert count_square_free(2) == 6
+    message = "enumeration exceeded the ceiling of 10 words"
+    with pytest.raises(ResourceGuard, match=message):
+        count_square_free(12)
+    assert run(["enumerate", "--n", "12", "--count-only"]) == 2
+    assert message in capsys.readouterr().err

@@ -1,9 +1,12 @@
+import re
+
 import pytest
 
 from critfact import (
     AlphabetError,
     InsufficientBound,
     RangeError,
+    ResourceGuard,
     alpha_n,
     beta_family,
     beta_n,
@@ -166,3 +169,14 @@ def test_beta_family_words_are_wrapped_factors():
     for w in beta_family(3, 10**4):
         assert w[0] == "0" and w[-1] == "2"
         assert w[1:-1] in mp
+
+
+def test_tau_iter_checks_the_prefix_ceiling_before_iterating(monkeypatch):
+    monkeypatch.setenv("CRITFACT_MAX_PREFIX_LEN", "1000")
+    # 768, 512 and 512 letters fit; 1536, 1024 and 1024 do not
+    assert [len(tau_iter(a, n)) for a, n in (("0", 9), ("1", 9), ("2", 10))] == [768, 512, 512]
+    for a, n in (("0", 10), ("1", 10), ("2", 11), ("0", 10**9)):
+        message = f"|tau^{n}({a})| exceeds the prefix ceiling 1000"
+        with pytest.raises(ResourceGuard, match=re.escape(message)):
+            tau_iter(a, n)
+    assert tau_iter("0", 0) == "0"

@@ -15,13 +15,14 @@ from critfact import (
 )
 from critfact import squarefree as squarefree_module
 from critfact.config import Limits
-from critfact.errors import ResourceGuard
+from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods_scan
 from critfact.squarefree import find_square, is_square_free, square_free_words
 from critfact.verify import _check_word
 
 import importlib
 import random
+import re
 
 # the module, which the package's ``verify`` function shadows
 verify_module = importlib.import_module("critfact.verify")
@@ -348,3 +349,48 @@ def test_explore_problem2():
         explore_problem2(40)
     with pytest.raises(RangeError):
         explore_problem2(3)
+
+
+def test_scan_guards_the_problem2_walk(monkeypatch):
+    step = squarefree_module._extend_local_periods
+
+    def one_wrong_value(s, lp):
+        out = step(s, lp)
+        if s == "0120":
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(squarefree_module, "_extend_local_periods", one_wrong_value)
+    scan = local_periods_scan("0120")
+    wrong = [scan[0] + 1] + scan[1:]
+    detail = f"local-period routes disagree: trie={wrong} scan={scan}"
+    with pytest.raises(CritfactError, match=re.escape(detail)):
+        explore_problem2(8)
+
+
+def test_problem2_keeps_its_cumulative_word_ceiling(monkeypatch):
+    # lengths 4 and 8 hold 18 + 78 = 96 square-free words
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "96")
+    assert [row["tested"] for row in explore_problem2(8)["lengths"]] == [18, 78]
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "95")
+    with pytest.raises(ResourceGuard, match="search exceeded the ceiling of 95 words"):
+        explore_problem2(8)
+
+
+def test_family_suites_fail_on_route_disagreement(monkeypatch):
+    monkeypatch.setattr(verify_module, "local_periods", lambda w: [1] * (len(w) - 1))
+    for report in (verify_beta_eta(3, 10**4), verify_wx_density(2)):
+        assert report.verdict == "FAIL"
+        assert len(report.counterexamples) == report.tested
+        for w, detail in report.counterexamples:
+            scan = local_periods_scan(w)
+            assert detail == f"local-period routes disagree: sweep={[1] * (len(w) - 1)} scan={scan}"
+
+
+def test_wx_details_name_n_from_the_word_length(monkeypatch):
+    monkeypatch.setattr(verify_module, "critical_interval", lambda prof: None)
+    report = verify_wx_density(2)
+    assert sorted(d for _, d in report.counterexamples) == [
+        "n=1: critical interval None, wanted (22, 33)",
+        "n=2: critical interval None, wanted (46, 69)",
+    ]
