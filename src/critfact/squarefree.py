@@ -6,8 +6,9 @@ has none.  Two detection routes are kept deliberately independent:
 * ``find_square`` is the quadratic reference scan.  It reports the
   canonical occurrence (smallest start, then smallest root) and is the
   route every other square check is tested against.
-* ``has_square`` answers existence only, by divide and conquer over the
-  word with Z-array matching of boundary-crossing squares, O(n log n).
+* ``has_square`` answers existence only, by Main-Lorentz divide and
+  conquer: both halves, then the squares across the cut, found by one
+  backward letter match per root on the word and on its mirror image.
   It makes square-freeness checks of 10^5-letter words affordable.
 
 ``is_square_free`` dispatches between them by length.
@@ -55,70 +56,49 @@ def find_square(w: str) -> SquareOccurrence | None:
     return None
 
 
-def _z_array(s: str) -> list[int]:
-    """Z-array: z[i] = length of the longest common prefix of s and s[i:]."""
-    n = len(s)
-    z = [0] * n
-    if n == 0:
-        return z
-    z[0] = n
-    l = r = 0
-    for i in range(1, n):
-        k = min(r - i, z[i - l]) if i < r else 0
-        while i + k < n and s[k] == s[i + k]:
-            k += 1
-        z[i] = k
-        if i + k > r:
-            l, r = i, i + k
-    return z
+def _square_right_of(w: str, h: int) -> bool:
+    """Whether ``w`` has a square w[i:i+2q] with i < h <= i+q, one whose
+    second half starts at or after the cut h.
 
-
-def _crossing_square(u: str, v: str) -> bool:
-    """Whether u.v contains a square straddling the u|v boundary.
-
-    A crossing square of root length q either has its second copy
-    starting inside v at offset d (first copy ends in u), or its second
-    copy crossing the boundary with the first copy inside u.  Both cases
-    reduce to interval tests on longest-common-extension lengths.
+    For each root q, k letters (at most h) match backwards from h-1 and
+    h+q-1; the square exists iff k >= 1 and the other q-k letters match
+    forwards from h and h+q, inside w: 2q-k <= m = |w[h:]|.  When k >= q
+    the square is w[h-q:h+q] and both slices are empty.  A match of
+    l < q letters is a copy inside w[h:] of the last l letters of w[:h];
+    when w[h:] is square-free such copies start more than l apart, so
+    about m/l roots at most match l letters and the letter steps total
+    O(m log m).
     """
-    h, m = len(u), len(v)
-    ru = u[::-1]
-    z_ru = _z_array(ru)
-    z_v = _z_array(v)
-    # common suffix of u and v[:q], read off a combined reversed Z-array
-    z_suf = _z_array(ru + "\x00" + v[::-1])
-    # longest prefix of v matching u[j:], read off v # u
-    z_pre = _z_array(v + "\x00" + u)
-
-    # Case 1: second copy v[d:d+q]; first copy is u-suffix (len q-d) + v[:d].
-    # Needs: u-suffix of length q-d == v[d:q], and v[:d] == v[q:q+d].
+    m = len(w) - h
     for q in range(1, m + 1):
-        k1 = z_suf[h + 1 + m - q]  # capped at min(h, q) by the string ends
-        d_lo = max(0, q - k1)
-        d_hi = min(q - 1, z_v[q] if q < m else 0)
-        if d_lo <= d_hi:
-            return True
-
-    # Case 2: first copy u[h-q-e : h-e]; second copy u[h-e:] + v[:q-e].
-    # Needs: common suffix of u[:h-q] and u at least e, and u[h-q:]
-    # matching a prefix of v for at least q-e letters.
-    for q in range(1, h):
-        k4 = z_pre[m + 1 + h - q]
-        e_lo = max(1, q - k4)
-        e_hi = min(q - 1, z_ru[q], h - q)
-        if e_lo <= e_hi:
+        k = 0
+        while k < h and w[h - 1 - k] == w[h + q - 1 - k]:
+            k += 1
+        if k and 2 * q - k <= m and w[h : h + q - k] == w[h + q : h + 2 * q - k]:
             return True
     return False
 
 
 def has_square(w: str) -> bool:
-    """Existence-only square test, O(n log n) divide and conquer."""
+    """Existence-only square test by Main-Lorentz divide and conquer.
+
+    A square lies in one half or crosses the cut h.  If its second half
+    starts at or after the cut, ``_square_right_of(w, h)`` finds it;
+    otherwise its mirror image is such a square of the reversed word at
+    cut n-h.
+    """
     n = len(w)
     if n < 2:
         return False
     h = n // 2
-    u, v = w[:h], w[h:]
-    return has_square(u) or has_square(v) or _crossing_square(u, v)
+    # halves first: each crossing test then meets a square-free right
+    # part (w[h:], or w[:h] reversed), which bounds its letter steps
+    return (
+        has_square(w[:h])
+        or has_square(w[h:])
+        or _square_right_of(w, h)
+        or _square_right_of(w[::-1], n - h)
+    )
 
 
 def is_square_free(w: str) -> bool:

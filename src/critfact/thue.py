@@ -87,7 +87,9 @@ def m_n(n: int) -> str:
     """
     if n < 1:
         raise RangeError(f"need n >= 1, got {n}")
-    if 4**n - 1 > DEFAULT_LIMITS.max_prefix_len:
+    cap = DEFAULT_LIMITS.max_prefix_len
+    # 4^n - 1 >= 2^n: a huge n fails on the exponent alone, as in tau_iter
+    if n > cap.bit_length() or 4**n - 1 > cap:
         raise ResourceGuard(f"|m_n({n})| = 4^{n} - 1 exceeds the configured ceiling")
     return "".join(tau_iter("0", 2 * i - 1) for i in range(n, 0, -1))
 

@@ -158,12 +158,13 @@ def _checked_profile(w: str, lp: list[int], route: str) -> PeriodProfile:
 
 
 def _check_word(
-    w: str, ids: tuple[TheoremId, ...], lp: list[int] | None = None, route: str = "sweep"
+    w: str, ids: tuple[TheoremId, ...], lp: list[int] | None = None
 ) -> list[tuple[TheoremId, str, str]]:
     """Run the per-word predicates on ``lp``, the local periods of ``w``
-    by ``route`` (the sweep when not given); a disagreement with the scan
-    fails them all."""
+    stepped down the trie, or on the sweep's when ``lp`` is None; a
+    disagreement with the scan fails them all."""
     n = len(w)
+    route = "sweep" if lp is None else "trie"
     if lp is None:
         lp = local_periods(w)
     try:
@@ -267,15 +268,15 @@ def _iter_universe(
 
 
 def _check_words(
-    words: Iterable[tuple[str, list[int] | None, str]], ids: tuple[TheoremId, ...]
+    words: Iterable[tuple[str, list[int] | None]], ids: tuple[TheoremId, ...]
 ) -> tuple[int, list[tuple[TheoremId, str, str]]]:
-    """Number of (word, local periods, route) triples checked, and the
+    """Number of (word, local periods or None) pairs checked, and the
     issues ``_check_word`` found."""
     tested = 0
     found: list[tuple[TheoremId, str, str]] = []
-    for w, lp, route in words:
+    for w, lp in words:
         tested += 1
-        found.extend(_check_word(w, ids, lp, route))
+        found.extend(_check_word(w, ids, lp))
     return tested, found
 
 
@@ -285,10 +286,7 @@ def _run_chunk(payload) -> tuple[int, list[tuple[TheoremId, str, str]]]:
     ids, universe, alphabet, min_len, max_len, prefix = payload
     accept = extend_square_free if universe == "square-free" else None
     walk = _walk(prefix, min_len, max_len, alphabet, accept, local_periods(prefix))
-    depth = len(prefix)
-    return _check_words(
-        ((w, lp, "sweep" if len(w) == depth else "trie") for w, lp in walk), ids
-    )
+    return _check_words(((w, None if w == prefix else lp) for w, lp in walk), ids)
 
 
 def _count_universe(
@@ -411,7 +409,7 @@ def verify_many(
             random_square_free(rng.randint(opts.random_min, opts.random_max), rng, opts.alphabet)
             for _ in range(opts.random_count)
         )
-        parts.append(_check_words(((w, None, "sweep") for w in words), ids))
+        parts.append(_check_words(((w, None) for w in words), ids))
         range_desc["randomCount"] = opts.random_count
         range_desc["randomMin"] = opts.random_min
         range_desc["randomMax"] = opts.random_max
@@ -498,7 +496,7 @@ def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
     """
     start = time.perf_counter()
     words = beta_family(count, search_bound)
-    tested, found = _check_words(((w, None, "sweep") for w in words), (TheoremId.BETA_ETA,))
+    tested, found = _check_words(((w, None) for w in words), (TheoremId.BETA_ETA,))
     range_desc = {"count": count, "searchBound": search_bound}
     return _report(TheoremId.BETA_ETA, range_desc, tested, [(w, d) for _, w, d in found], start)
 
@@ -516,7 +514,7 @@ def verify_wx_density(n_max: int) -> VerificationReport:
     for w in words:
         if len(w) > cap:
             raise ResourceGuard(f"|w| = {len(w)} exceeds the profile ceiling {cap}")
-    tested, found = _check_words(((w, None, "sweep") for w in words), (TheoremId.WX_DENSITY,))
+    tested, found = _check_words(((w, None) for w in words), (TheoremId.WX_DENSITY,))
     found_pairs = [(w, d) for _, w, d in found]
     return _report(TheoremId.WX_DENSITY, {"nMax": n_max}, tested, found_pairs, start)
 

@@ -66,6 +66,73 @@ def test_is_square_free_long_prefix():
     assert is_square_free(m_prefix(20000))
 
 
+# Leech's uniform square-free morphism (Leech 1957)
+LEECH = {"0": "0121021201210", "1": "1202102012021", "2": "2010210120102"}
+
+
+def leech_prefix(n):
+    w = "0"
+    while len(w) < n:
+        w = "".join([LEECH[a] for a in w])
+    return w[:n]
+
+
+def test_leech_prefixes_are_square_free():
+    for n in (13, 64, 65, 169, 700, 2000):
+        w = leech_prefix(n)
+        assert find_square(w) is None
+        assert not has_square(w) and not has_square(w[::-1])
+    assert not has_square(leech_prefix(13**4))
+
+
+def _cuts(lo, hi, depth):
+    """The cuts has_square makes in w[lo:hi], down to ``depth`` levels."""
+    if depth == 0 or hi - lo < 2:
+        return []
+    h = lo + (hi - lo) // 2
+    return [h] + _cuts(lo, h, depth - 1) + _cuts(h, hi, depth - 1)
+
+
+@pytest.mark.parametrize("base", [m_prefix(5000), leech_prefix(5000)], ids=["m", "leech"])
+def test_planted_squares_are_found_in_long_words(base):
+    assert not has_square(base)
+    for r in (1, 2, 9, 64, 333):
+        v = base[7 * r : 8 * r]
+        n = len(base) + 2 * r
+        # the square starts at p; the cut lies d letters into it, in its
+        # first half, at its centre or in its second half
+        starts = {0, len(base)}
+        for c in _cuts(0, n, 3):
+            starts.update(c - d for d in (max(1, r // 2), r, min(2 * r - 1, r + r // 2 + 1)))
+        for p in starts:
+            w = base[:p] + v + v + base[p:]
+            assert has_square(w), (r, p)
+
+
+M3000 = m_prefix(3000)
+
+
+def _plant(start, size, at, r, miss):
+    """A factor of m with vv inserted, the second v changed at ``miss``
+    when miss < |v|."""
+    w, v = M3000[start : start + size], M3000[1000 : 1000 + r]
+    u = v if miss >= r else v[:miss] + {"0": "1", "1": "2", "2": "0"}[v[miss]] + v[miss + 1 :]
+    at = min(at, len(w))
+    return w[:at] + v + u + w[at:]
+
+
+near_squares = st.builds(
+    _plant, st.integers(0, 2000), st.integers(0, 400), st.integers(0, 400),
+    st.integers(0, 60), st.integers(0, 80),
+)
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.text(alphabet="012", max_size=200), near_squares))
+def test_has_square_is_mirror_symmetric(w):
+    assert has_square(w) == has_square(w[::-1]) == (find_square(w) is not None)
+
+
 def test_find_square_occurrence_is_real():
     for n in range(2, 10):
         for w in all_words(n):

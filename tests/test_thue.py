@@ -180,3 +180,14 @@ def test_tau_iter_checks_the_prefix_ceiling_before_iterating(monkeypatch):
         with pytest.raises(ResourceGuard, match=re.escape(message)):
             tau_iter(a, n)
     assert tau_iter("0", 0) == "0"
+
+
+def test_m_n_checks_the_prefix_ceiling_before_building_4_to_the_n(monkeypatch):
+    # 4**(10**9) would be a 250 MB integer; the exponent alone rejects it
+    message = "|m_n(1000000000)| = 4^1000000000 - 1 exceeds the configured ceiling"
+    with pytest.raises(ResourceGuard, match=re.escape(message)):
+        m_n(10**9)
+    monkeypatch.setenv("CRITFACT_MAX_PREFIX_LEN", "1000")
+    assert len(m_n(4)) == 255
+    with pytest.raises(ResourceGuard, match=re.escape("|m_n(5)| = 4^5 - 1 exceeds")):
+        m_n(5)
