@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .config import DEFAULT_LIMITS, Limits
-from .errors import CritfactError, ResourceGuard
+from .config import Limits
+from .errors import CritfactError
 from .periods import (
     critical_interval,
     is_unimodal,
@@ -21,7 +21,7 @@ from .periods import (
     profile_csv_rows,
     profile_json_dict,
 )
-from .squarefree import count_square_free, is_square_free, square_free_words
+from .squarefree import _within_ceiling, count_square_free, is_square_free, square_free_words
 from .thue import (
     alpha_n,
     beta_family,
@@ -191,12 +191,7 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         count = count_square_free(args.n)
     else:
-        ceiling = DEFAULT_LIMITS.max_words
-        lines = []
-        for w in square_free_words(args.n):
-            lines.append(w)
-            if len(lines) > ceiling:
-                raise ResourceGuard(f"enumeration exceeded the ceiling of {ceiling} words")
+        lines = list(_within_ceiling(square_free_words(args.n), "enumeration"))
         count = len(lines)
     if args.json:
         doc: dict = {"n": args.n, "count": count}

@@ -1,7 +1,8 @@
 """Resource limits, set only through environment variables.
 
 All bounds live here so CLI and library runs share one predictable
-resource envelope:
+resource envelope.  Each is one ``Limits`` field, set by the variable
+``CRITFACT_<FIELD NAME IN CAPITALS>``:
 
     CRITFACT_MAX_WORDS        enumeration ceiling per run   (default 1_000_000)
     CRITFACT_MAX_PROFILE_LEN  longest word profiled         (default 5_000)
@@ -12,7 +13,7 @@ must hold a positive integer; any other value raises RangeError.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import RangeError
 
@@ -26,32 +27,26 @@ class Limits:
     @classmethod
     def from_env(cls) -> "Limits":
         """Every limit as the environment sets it now."""
-        return cls(
-            DEFAULT_LIMITS.max_words,
-            DEFAULT_LIMITS.max_profile_len,
-            DEFAULT_LIMITS.max_prefix_len,
-        )
+        return cls(**{f.name: getattr(DEFAULT_LIMITS, f.name) for f in fields(cls)})
 
 
-def _read(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    if not (raw.isdecimal() and int(raw) > 0):
-        raise RangeError(f"{name} must be a positive integer, got {raw!r}")
-    return int(raw)
+_DEFAULTS = {f.name: f.default for f in fields(Limits)}
 
 
 class _EnvLimits:
-    """The limits in force: each attribute reads its variable afresh."""
+    """The limits in force: each ``Limits`` field read afresh from its
+    variable, or its default when the variable is unset."""
 
-    max_words = property(lambda self: _read("CRITFACT_MAX_WORDS", Limits.max_words))
-    max_profile_len = property(
-        lambda self: _read("CRITFACT_MAX_PROFILE_LEN", Limits.max_profile_len)
-    )
-    max_prefix_len = property(
-        lambda self: _read("CRITFACT_MAX_PREFIX_LEN", Limits.max_prefix_len)
-    )
+    def __getattr__(self, field: str) -> int:
+        if field not in _DEFAULTS:
+            raise AttributeError(field)
+        name = f"CRITFACT_{field.upper()}"
+        raw = os.environ.get(name)
+        if raw is None:
+            return _DEFAULTS[field]
+        if not (raw.isdecimal() and int(raw) > 0):
+            raise RangeError(f"{name} must be a positive integer, got {raw!r}")
+        return int(raw)
 
 
 DEFAULT_LIMITS = _EnvLimits()

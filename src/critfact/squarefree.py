@@ -21,7 +21,7 @@ On request it also carries each word's local periods down the trie.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .config import DEFAULT_LIMITS
 from .errors import EmptyFactor, RangeError, ResourceGuard
@@ -181,16 +181,20 @@ def square_free_words(
     return square_free_range(n, n, alphabet, prefix)
 
 
+def _within_ceiling(items: Iterable, what: str) -> Iterator:
+    """Yield ``items``; raise ResourceGuard once more than the word
+    ceiling, ``CRITFACT_MAX_WORDS``, have come."""
+    ceiling = DEFAULT_LIMITS.max_words
+    for count, item in enumerate(items, 1):
+        if count > ceiling:
+            raise ResourceGuard(f"{what} exceeded the ceiling of {ceiling} words")
+        yield item
+
+
 def count_square_free(n: int, alphabet: str = TERNARY) -> int:
     """Number of square-free words of length ``n`` over ``alphabet``.
     Raises ResourceGuard past the word ceiling, ``CRITFACT_MAX_WORDS``."""
-    ceiling = DEFAULT_LIMITS.max_words
-    count = 0
-    for _ in square_free_words(n, alphabet):
-        count += 1
-        if count > ceiling:
-            raise ResourceGuard(f"enumeration exceeded the ceiling of {ceiling} words")
-    return count
+    return sum(1 for _ in _within_ceiling(square_free_words(n, alphabet), "enumeration"))
 
 
 def overlaps_self(x: str, w: str) -> bool:

@@ -34,13 +34,15 @@ The family suites (``verify_alpha_extremal``, ``verify_beta_eta``,
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .config import DEFAULT_LIMITS
 from .errors import CritfactError, RangeError, ResourceGuard
@@ -55,6 +57,7 @@ from .periods import (
 )
 from .squarefree import (
     _walk,
+    _within_ceiling,
     extend_square_free,
     is_square_free,
     overlaps_self,
@@ -96,6 +99,9 @@ _UNIVERSE = {
 }
 
 _RANGE_SUITES = frozenset(_UNIVERSE)
+
+# The letter test each universe walks with; None accepts every letter.
+_ACCEPT = {"all": None, "square-free": extend_square_free}
 
 
 @dataclass(frozen=True)
@@ -259,14 +265,6 @@ def _check_word(
     return issues
 
 
-def _iter_universe(
-    universe: str, alphabet: str, min_len: int, max_len: int, prefix: str
-) -> Iterator[str]:
-    if universe == "square-free":
-        return square_free_range(min_len, max_len, alphabet, prefix)
-    return _walk(prefix, min_len, max_len, alphabet)
-
-
 def _check_words(
     words: Iterable[tuple[str, list[int] | None]], ids: tuple[TheoremId, ...]
 ) -> tuple[int, list[tuple[TheoremId, str, str]]]:
@@ -284,26 +282,28 @@ def _run_chunk(payload) -> tuple[int, list[tuple[TheoremId, str, str]]]:
     """Check the chunk's prefix with the sweep's local periods, and every
     longer word with those the walk steps down from them."""
     ids, universe, alphabet, min_len, max_len, prefix = payload
-    accept = extend_square_free if universe == "square-free" else None
-    walk = _walk(prefix, min_len, max_len, alphabet, accept, local_periods(prefix))
+    walk = _walk(prefix, min_len, max_len, alphabet, _ACCEPT[universe], local_periods(prefix))
     return _check_words(((w, None if w == prefix else lp) for w, lp in walk), ids)
 
 
 def _count_universe(
     universe: str, alphabet: str, min_len: int, max_len: int, ceiling: int, extra: int
 ) -> int:
-    """Words to test: the universe plus ``extra`` more.  Raises
-    ResourceGuard past the ceiling, walking no further than it."""
-    total = extra
-    if universe == "all":
-        total += sum(len(alphabet) ** n for n in range(min_len, max_len + 1))
+    """Words to test: ``extra`` plus the universe, added up length by
+    length (k^n words over k letters, or a walk of the square-free ones).
+    Raises ResourceGuard the moment the total passes the ceiling, so it
+    walks no further and names a total of bounded size."""
+    if _ACCEPT[universe] is None:
+        # past the ceiling's bit length k^n exceeds it for any k >= 2
+        cap = ceiling.bit_length()
+        sizes = (len(alphabet) ** min(n, cap) for n in range(min_len, max_len + 1))
     else:
-        for _ in square_free_range(min_len, max_len, alphabet):
-            total += 1
-            if total > ceiling:
-                break
-    if total > ceiling:
-        raise ResourceGuard(f"at least {total} words to test exceed the ceiling {ceiling}")
+        sizes = (1 for _ in square_free_range(min_len, max_len, alphabet))
+    total = 0
+    for size in chain([extra], sizes):
+        total += size
+        if total > ceiling:
+            raise ResourceGuard(f"at least {total} words to test exceed the ceiling {ceiling}")
     return total
 
 
@@ -387,10 +387,10 @@ def verify_many(
     _count_universe(universe, opts.alphabet, min_len, max_len, ceiling, opts.random_count)
 
     depth = min(3, min_len)
-    prefixes = list(_iter_universe(universe, opts.alphabet, depth, depth, ""))
+    prefixes = list(_walk("", depth, depth, opts.alphabet, _ACCEPT[universe]))
     chunks = [(ids, universe, opts.alphabet, min_len, max_len, pre) for pre in prefixes]
 
-    jobs = min(opts.jobs, len(chunks))
+    jobs = min(opts.jobs, len(chunks), os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
             parts = pool.map(_run_chunk, chunks)
@@ -557,25 +557,23 @@ def explore_problem2(len_max: int) -> dict:
     every word reported, and a disagreement raises CritfactError."""
     if not 4 <= len_max <= 30:
         raise RangeError(f"need 4 <= len_max <= 30, got {len_max}")
-    ceiling = DEFAULT_LIMITS.max_words
-    tested_total = 0
     rows = {
         length: {"length": length, "minExcess": None, "witnesses": [], "tested": 0}
         for length in range(4, len_max + 1, 4)
     }
-    for a in TERNARY:  # a single letter has no positions, so no local periods
-        for w, lp in _walk(a, 4, len_max, TERNARY, extend_square_free, []):
-            if len(w) % 4:
-                continue
-            tested_total += 1
-            if tested_total > ceiling:
-                raise ResourceGuard(f"search exceeded the ceiling of {ceiling} words")
-            row = rows[len(w)]
-            row["tested"] += 1
-            excess = _checked_profile(w, lp, "trie").eta - len(w) // 4
-            if row["minExcess"] is None or excess < row["minExcess"]:
-                row["minExcess"] = excess
-                row["witnesses"] = [w] if excess == 0 else []
-            elif excess == 0:
-                row["witnesses"].append(w)
+    walk = (
+        (w, lp)
+        for a in TERNARY  # a single letter has no positions, so no local periods
+        for w, lp in _walk(a, 4, len_max, TERNARY, extend_square_free, [])
+        if len(w) % 4 == 0
+    )
+    for w, lp in _within_ceiling(walk, "search"):
+        row = rows[len(w)]
+        row["tested"] += 1
+        excess = _checked_profile(w, lp, "trie").eta - len(w) // 4
+        if row["minExcess"] is None or excess < row["minExcess"]:
+            row["minExcess"] = excess
+            row["witnesses"] = [w] if excess == 0 else []
+        elif excess == 0:
+            row["witnesses"].append(w)
     return {"problem": "problem2", "lengths": list(rows.values())}

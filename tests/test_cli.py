@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -240,6 +241,17 @@ def test_problem2_document_is_pinned(capsys, max_len, digest):
     assert run(["explore", "problem2", "--max", max_len, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_len", ["10000", "3000000"])
+def test_all_word_ranges_past_the_ceiling_exit_2_at_once(capsys, max_len):
+    start = time.perf_counter()
+    assert run(["verify", "cft", "--min", "2", "--max", max_len]) == 2
+    assert time.perf_counter() - start < 1
+    # 3^2 + ... + 3^13 words of lengths 2..13 pass the ceiling
+    assert capsys.readouterr().err == (
+        "critfact: error: at least 2391480 words to test exceed the ceiling 1000000\n"
+    )
 
 
 def test_generate_tau_keeps_the_prefix_ceiling(capsys, monkeypatch):

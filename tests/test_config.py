@@ -42,3 +42,13 @@ def test_a_bad_limit_fails_the_call_that_checks_it(monkeypatch):
     assert global_period("0101") == 2
     with pytest.raises(RangeError):
         profile("0101")
+
+
+def test_each_limit_reads_the_variable_named_after_its_field(monkeypatch):
+    monkeypatch.setenv("CRITFACT_MAX_PREFIX_LEN", "abc")
+    assert DEFAULT_LIMITS.max_words == 1_000_000
+    message = "CRITFACT_MAX_PREFIX_LEN must be a positive integer, got 'abc'"
+    with pytest.raises(RangeError, match=message):
+        DEFAULT_LIMITS.max_prefix_len
+    with pytest.raises(AttributeError):
+        DEFAULT_LIMITS.max_letters

@@ -17,15 +17,17 @@ from critfact import squarefree as squarefree_module
 from critfact.config import Limits
 from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods_scan
-from critfact.squarefree import find_square, is_square_free, square_free_words
+from critfact.squarefree import count_square_free, find_square, is_square_free, square_free_words
 from critfact.verify import _check_word
 
 import importlib
 import random
 import re
+import time
 
 # the module, which the package's ``verify`` function shadows
 verify_module = importlib.import_module("critfact.verify")
+cli_module = importlib.import_module("critfact.cli")
 
 EX1 = "0120201202021021021"
 EX1_LP = [3, 5, 5, 2, 5, 5, 19, 19, 2, 2, 19, 19, 3, 3, 3, 3, 3, 3]
@@ -95,7 +97,9 @@ def test_verify_rejects_bad_ranges():
 
 def test_resource_guard(monkeypatch):
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "1000")
-    with pytest.raises(ResourceGuard):
+    # 9 + 27 + 81 + 243 ternary words of lengths 2..5, then 729 more
+    message = "at least 1089 words to test exceed the ceiling 1000"
+    with pytest.raises(ResourceGuard, match=message):
         verify(TheoremId.CFT, 2, 11)
 
 
@@ -128,10 +132,28 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(verify_module, "Pool", SerialPool)
-    # binary words from length 2 split into the 4 prefixes of length 2
-    report = verify(TheoremId.CFT, 2, 5, VerifyOptions(alphabet="01", jobs=6))
-    assert started == [4]
-    assert report.verdict == "PASS"
+    # binary words from length 2 split into the 4 prefixes of length 2,
+    # and words of length 3 over 10 letters into 1000; the pool gets no
+    # more processes than there are CPUs either
+    cases = [
+        ("01", 2, 5, 6, 8, [4]),
+        ("01", 2, 5, 6, 3, [3]),
+        ("01", 2, 5, 2, 3, [2]),
+        ("01", 2, 5, 6, 1, []),
+        ("01", 2, 5, 6, None, []),
+        ("0123456789", 3, 3, 1000, 2, [2]),
+        ("0123456789", 3, 3, 1000, 1, []),
+    ]
+    docs = {}
+    for alphabet, lo, hi, jobs, cpus, want in cases:
+        monkeypatch.setattr(verify_module.os, "cpu_count", lambda: cpus)
+        started.clear()
+        report = verify(TheoremId.CFT, lo, hi, VerifyOptions(alphabet=alphabet, jobs=jobs))
+        assert started == want
+        assert report.verdict == "PASS"
+        doc = report.to_json_dict()
+        doc.pop("elapsedMs")
+        assert docs.setdefault(alphabet, doc) == doc
 
 
 @pytest.mark.parametrize(
@@ -375,6 +397,38 @@ def test_problem2_keeps_its_cumulative_word_ceiling(monkeypatch):
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "95")
     with pytest.raises(ResourceGuard, match="search exceeded the ceiling of 95 words"):
         explore_problem2(8)
+
+
+def test_word_ceilings_are_counted_by_the_shared_iterator(monkeypatch, capsys):
+    within_ceiling = squarefree_module._within_ceiling
+    seen = []
+
+    def spy(items, what):
+        seen.append(what)
+        return within_ceiling(items, what)
+
+    for module in (squarefree_module, cli_module, verify_module):
+        monkeypatch.setattr(module, "_within_ceiling", spy)
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "10")
+    with pytest.raises(ResourceGuard, match="^enumeration exceeded the ceiling of 10 words$"):
+        count_square_free(12)
+    assert cli_module.run(["enumerate", "--n", "12"]) == 2
+    assert capsys.readouterr().err == (
+        "critfact: error: enumeration exceeded the ceiling of 10 words\n"
+    )
+    with pytest.raises(ResourceGuard, match="^search exceeded the ceiling of 10 words$"):
+        explore_problem2(8)
+    assert seen == ["enumeration", "enumeration", "search"]
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 10**4), (2, 10**6), (10**9, 10**9)])
+def test_the_all_words_count_stops_at_the_ceiling(monkeypatch, lo, hi):
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuard, match="exceed the ceiling 1000000$") as info:
+        verify(TheoremId.CFT, lo, hi)
+    assert time.perf_counter() - start < 1
+    assert len(str(info.value)) < 100
 
 
 def test_family_suites_fail_on_route_disagreement(monkeypatch):
