@@ -44,9 +44,16 @@ class _EnvLimits:
         raw = os.environ.get(name)
         if raw is None:
             return _DEFAULTS[field]
-        if not (raw.isdecimal() and int(raw) > 0):
+        try:
+            value = int(raw) if raw.isdecimal() else 0
+        except ValueError:  # more digits than CPython converts to int
+            raise RangeError(
+                f"{name} must be a positive integer, got a {len(raw)}-digit value"
+                " too long to convert"
+            ) from None
+        if value < 1:
             raise RangeError(f"{name} must be a positive integer, got {raw!r}")
-        return int(raw)
+        return value
 
 
 DEFAULT_LIMITS = _EnvLimits()

@@ -9,21 +9,20 @@ Vocabulary (see README for worked examples):
   global period per(w), and p is *critical* when per(w, p) = per(w).
 * eta(w) counts the critical points; density is eta / (|w| - 1).
 
-The minimal local period is computed by three routes:
+The minimal local period is computed by two routes:
 
 * ``local_period`` / ``local_periods_scan`` / ``is_local_period``: the
   definitional scan, trying q = 1, 2, ... with a letter-by-letter window
   check, written once and run per position.  This is the reference route.
-* ``local_periods``: a shift sweep that resolves all positions of one
-  word together from per-shift mismatch prefix sums, O(n * per(w)).
-  ``profile`` and every other single-word caller use it.
 * ``_extend_local_periods``: the trie step, which derives the local
   periods of w.a from those of w.  The walker of ``squarefree`` runs it
-  down the range-suite universes and the ``explore problem2`` search.
+  down the range-suite universes and the ``explore problem2`` search;
+  ``local_periods`` folds it over one word letter by letter, for
+  ``profile`` and every other single-word caller.
 
-The scan shares no code with the other two, and they must agree with it
+The scan shares no code with the trie step, and the two must agree
 everywhere; the verification suites and ``explore problem2`` recompute
-the scan beside the fast route and treat any disagreement as a failure
+the scan beside the trie step and treat any disagreement as a failure
 of the run itself.  One builder turns local periods into a profile, for
 ``profile`` and for those checked runs.
 """
@@ -90,51 +89,12 @@ def local_periods_scan(w: str) -> list[int]:
     """Minimal local periods at every position, reference route.
 
     The definitional scan at each position in turn; kept free of
-    shortcuts so it can serve as the oracle for the sweep and the
-    trie step.
+    shortcuts so it can serve as the oracle for the trie step.
     """
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
     return [_least_local_period(w, p) for p in range(1, n)]
-
-
-def local_periods(w: str) -> list[int]:
-    """Minimal local periods at every position 1..|w|-1, shift sweep.
-
-    For each candidate q ascending, positions whose matching window is
-    mismatch-free get per(w, p) = q; mismatches per shift are shared
-    through a prefix-sum array.  Every position resolves by q = per(w),
-    since the global period is a local period everywhere.
-    """
-    n = len(w)
-    if n < 2:
-        raise TooShort(f"need |w| >= 2, got {n}")
-    per = n - border_array(w)[-1]
-    out = [0] * (n - 1)
-    pending = list(range(1, n))
-    for q in range(1, per + 1):
-        m = n - q
-        bad = [0] * (m + 1)
-        c = 0
-        for j in range(m):
-            if w[j] != w[j + q]:
-                c += 1
-            bad[j + 1] = c
-        still = []
-        for p in pending:
-            lo = p - q
-            if lo < 0:
-                lo = 0
-            hi = m if m < p else p
-            if lo >= hi or bad[hi] == bad[lo]:
-                out[p - 1] = q
-            else:
-                still.append(p)
-        if not still:
-            return out
-        pending = still
-    raise AssertionError("unreachable: q = per(w) resolves all positions")
 
 
 def _extend_local_periods(s: str, lp: list[int]) -> list[int]:
@@ -167,6 +127,19 @@ def _extend_local_periods(s: str, lp: list[int]) -> list[int]:
             out[p - 1] = m - i
     out.append(m - s.rfind(a, 0, m))
     return out
+
+
+def local_periods(w: str) -> list[int]:
+    """Minimal local periods at every position 1..|w|-1, by the trie
+    step folded over ``w`` from its first letter, which has no positions.
+    """
+    n = len(w)
+    if n < 2:
+        raise TooShort(f"need |w| >= 2, got {n}")
+    lp: list[int] = []
+    for i in range(2, n + 1):
+        lp = _extend_local_periods(w[:i], lp)
+    return lp
 
 
 @dataclass(frozen=True)

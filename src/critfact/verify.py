@@ -1,13 +1,13 @@
 """Theorem-by-theorem verification over exhaustive word universes.
 
 Every local-period sequence behind a verdict or an exploration row
-comes from a fast route and meets the definitional scan in one place,
+comes from the trie step and meets the definitional scan in one place,
 ``_checked_profile``, which builds the profile only when they agree.
 A suite reports a disagreement as a counterexample whatever it would
 have concluded; ``explore_problem2`` raises CritfactError.  The range
 suites and ``explore_problem2`` step local periods down the walk from
-each word's parent (the trie step); chunk prefixes, family words and
-random words take the shift sweep.
+each word's parent; chunk prefixes, family words and random words take
+``local_periods``, the same step folded over the word.
 
 Range suites (``verify`` / ``verify_many``) walk a word universe
 determined by the theorem:
@@ -151,15 +151,16 @@ class VerificationReport:
 
 
 class _RoutesDisagree(CritfactError):
-    """A fast route's local periods differ from the scan's."""
+    """The trie step's local periods differ from the scan's."""
 
 
-def _checked_profile(w: str, lp: list[int], route: str) -> PeriodProfile:
-    """The profile of ``w`` from ``lp``, its local periods by ``route``,
-    once the scan agrees with them; raises _RoutesDisagree otherwise."""
+def _checked_profile(w: str, lp: list[int]) -> PeriodProfile:
+    """The profile of ``w`` from ``lp``, its local periods by the trie
+    step, once the scan agrees with them; raises _RoutesDisagree
+    otherwise."""
     scan = local_periods_scan(w)
     if lp != scan:
-        raise _RoutesDisagree(f"local-period routes disagree: {route}={lp} scan={scan}")
+        raise _RoutesDisagree(f"local-period routes disagree: trie={lp} scan={scan}")
     return _profile_of(w, lp)
 
 
@@ -167,14 +168,13 @@ def _check_word(
     w: str, ids: tuple[TheoremId, ...], lp: list[int] | None = None
 ) -> list[tuple[TheoremId, str, str]]:
     """Run the per-word predicates on ``lp``, the local periods of ``w``
-    stepped down the trie, or on the sweep's when ``lp`` is None; a
-    disagreement with the scan fails them all."""
+    stepped down the trie, or on ``local_periods(w)`` when ``lp`` is
+    None; a disagreement with the scan fails them all."""
     n = len(w)
-    route = "sweep" if lp is None else "trie"
     if lp is None:
         lp = local_periods(w)
     try:
-        prof = _checked_profile(w, lp, route)
+        prof = _checked_profile(w, lp)
     except _RoutesDisagree as exc:
         return [(tid, w, str(exc)) for tid in ids]
     per, crit, mid = prof.period, prof.critical_points, prof.midpoint
@@ -279,11 +279,11 @@ def _check_words(
 
 
 def _run_chunk(payload) -> tuple[int, list[tuple[TheoremId, str, str]]]:
-    """Check the chunk's prefix with the sweep's local periods, and every
-    longer word with those the walk steps down from them."""
+    """Check the chunk's prefix with ``local_periods(prefix)``, and every
+    longer word with the local periods the walk steps down from them."""
     ids, universe, alphabet, min_len, max_len, prefix = payload
     walk = _walk(prefix, min_len, max_len, alphabet, _ACCEPT[universe], local_periods(prefix))
-    return _check_words(((w, None if w == prefix else lp) for w, lp in walk), ids)
+    return _check_words(walk, ids)
 
 
 def _count_universe(
@@ -385,6 +385,9 @@ def verify_many(
     start = time.perf_counter()
     ceiling = DEFAULT_LIMITS.max_words
     _count_universe(universe, opts.alphabet, min_len, max_len, ceiling, opts.random_count)
+    cap = DEFAULT_LIMITS.max_profile_len  # every word is profiled
+    if max_len > cap:
+        raise ResourceGuard(f"max length {max_len} exceeds the profile ceiling {cap}")
 
     depth = min(3, min_len)
     prefixes = list(_walk("", depth, depth, opts.alphabet, _ACCEPT[universe]))
@@ -570,7 +573,7 @@ def explore_problem2(len_max: int) -> dict:
     for w, lp in _within_ceiling(walk, "search"):
         row = rows[len(w)]
         row["tested"] += 1
-        excess = _checked_profile(w, lp, "trie").eta - len(w) // 4
+        excess = _checked_profile(w, lp).eta - len(w) // 4
         if row["minExcess"] is None or excess < row["minExcess"]:
             row["minExcess"] = excess
             row["witnesses"] = [w] if excess == 0 else []

@@ -254,6 +254,24 @@ def test_all_word_ranges_past_the_ceiling_exit_2_at_once(capsys, max_len):
     )
 
 
+def test_one_letter_ranges_past_the_profile_ceiling_exit_2_at_once(capsys):
+    start = time.perf_counter()
+    assert run(["verify", "cft", "--min", "2", "--max", "1000000", "--alphabet", "0"]) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == (
+        "critfact: error: max length 1000000 exceeds the profile ceiling 5000\n"
+    )
+
+
+def test_a_limit_too_long_to_convert_exits_2_on_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "9" * 5000)
+    assert run(["enumerate", "--n", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "critfact: error: CRITFACT_MAX_WORDS must be a positive integer,"
+        " got a 5000-digit value too long to convert\n"
+    )
+
+
 def test_generate_tau_keeps_the_prefix_ceiling(capsys, monkeypatch):
     monkeypatch.setenv("CRITFACT_MAX_PREFIX_LEN", "1000")
     assert run(["generate", "tau", "--n", "12"]) == 2

@@ -19,7 +19,9 @@ def test_env_overrides(monkeypatch):
     assert limits.max_prefix_len == 2_000_000
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-5", "", "1.5", " 7"])
+@pytest.mark.parametrize(
+    "raw", ["abc", "0", "-5", "", "1.5", " 7", pytest.param("9" * 5000, id="5000-digits")]
+)
 def test_from_env_rejects_values_that_are_not_positive_integers(monkeypatch, raw):
     monkeypatch.setenv("CRITFACT_MAX_PREFIX_LEN", raw)
     with pytest.raises(RangeError, match="CRITFACT_MAX_PREFIX_LEN must be a positive integer"):

@@ -83,7 +83,7 @@ def test_local_period_errors():
         local_period("0", 1)
 
 
-def test_scan_and_sweep_agree_exhaustively():
+def test_scan_and_local_periods_agree_exhaustively():
     for n in range(2, 11):
         for w in all_words(n):
             assert local_periods(w) == local_periods_scan(w)
@@ -94,7 +94,7 @@ def test_scan_and_sweep_agree_exhaustively():
 
 @settings(max_examples=200)
 @given(st.text(alphabet="012", min_size=2, max_size=150))
-def test_scan_and_sweep_agree_random(w):
+def test_scan_and_local_periods_agree_random(w):
     assert local_periods(w) == local_periods_scan(w)
 
 

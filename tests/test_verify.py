@@ -200,7 +200,7 @@ def test_check_word_unimodal_flags_example1():
 def test_check_word_route_disagreement_fails_every_predicate(monkeypatch):
     monkeypatch.setattr(verify_module, "local_periods", lambda w: [1] * (len(w) - 1))
     ids = (TheoremId.CFT, TheoremId.MIDPOINT)
-    detail = f"local-period routes disagree: sweep={[1] * 18} scan={EX1_LP}"
+    detail = f"local-period routes disagree: trie={[1] * 18} scan={EX1_LP}"
     assert _check_word(EX1, ids) == [(tid, EX1, detail) for tid in ids]
 
 
@@ -224,12 +224,12 @@ def test_scan_guards_the_trie_step(monkeypatch):
     assert all(w.startswith("01201") for w, _ in report.counterexamples)
 
 
-def test_chunk_prefixes_are_fed_the_sweep(monkeypatch):
+def test_chunk_prefixes_are_fed_local_periods(monkeypatch):
     monkeypatch.setattr(verify_module, "local_periods", lambda w: [1] * (len(w) - 1))
     report = verify(TheoremId.MIDPOINT, 3, 3)
     assert report.tested == 12
     assert report.counterexamples == [
-        (w, f"local-period routes disagree: sweep={[1, 1]} scan={local_periods_scan(w)}")
+        (w, f"local-period routes disagree: trie={[1, 1]} scan={local_periods_scan(w)}")
         for w in sorted(square_free_words(3))
     ]
 
@@ -313,6 +313,19 @@ def test_random_words_stay_within_the_profile_ceiling(monkeypatch):
     monkeypatch.setenv("CRITFACT_MAX_PROFILE_LEN", "59")
     with pytest.raises(ResourceGuard, match="profile ceiling 59"):
         verify(TheoremId.MIDPOINT, 2, 3, VerifyOptions(random_count=1, random_min=2, random_max=60))
+
+
+def test_range_suites_stay_within_the_profile_ceiling(monkeypatch):
+    # one word per length over a one-letter alphabet: far below the word ceiling
+    one_letter = VerifyOptions(alphabet="0")
+    monkeypatch.setenv("CRITFACT_MAX_PROFILE_LEN", "59")
+    assert verify(TheoremId.CFT, 2, 59, one_letter).tested == 58
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    with pytest.raises(ResourceGuard, match="^max length 60 exceeds the profile ceiling 59$"):
+        verify(TheoremId.CFT, 2, 60, one_letter)
+    monkeypatch.delenv("CRITFACT_MAX_PROFILE_LEN")
+    with pytest.raises(ResourceGuard, match="^max length 5001 exceeds the profile ceiling 5000$"):
+        verify(TheoremId.CFT, 2, 5001, one_letter)
 
 
 def test_alpha_extremal():
@@ -438,7 +451,7 @@ def test_family_suites_fail_on_route_disagreement(monkeypatch):
         assert len(report.counterexamples) == report.tested
         for w, detail in report.counterexamples:
             scan = local_periods_scan(w)
-            assert detail == f"local-period routes disagree: sweep={[1] * (len(w) - 1)} scan={scan}"
+            assert detail == f"local-period routes disagree: trie={[1] * (len(w) - 1)} scan={scan}"
 
 
 def test_wx_details_name_n_from_the_word_length(monkeypatch):
