@@ -5,13 +5,12 @@ has none.  Two detection routes are kept deliberately independent:
 
 * ``find_square`` is the quadratic reference scan.  It reports the
   canonical occurrence (smallest start, then smallest root) and is the
-  route every other square check is tested against.
+  oracle every other square check is tested against; no production
+  path calls it.
 * ``has_square`` answers existence only, by Main-Lorentz divide and
-  conquer: both halves, then the squares across the cut, found by one
-  backward letter match per root on the word and on its mirror image.
-  It makes square-freeness checks of 10^5-letter words affordable.
-
-``is_square_free`` dispatches between them by length.
+  conquer: both halves, then the squares across the cut, found by
+  letter matches from the cut per root on the word and on its mirror
+  image.  ``is_square_free`` is its negation at every length.
 
 One depth-first walker enumerates words; ``square_free_range`` and
 ``square_free_words`` run it with ``extend_square_free`` as letter test.
@@ -27,11 +26,6 @@ from .config import DEFAULT_LIMITS
 from .errors import EmptyFactor, RangeError, ResourceGuard
 from .periods import _extend_local_periods
 from .words import TERNARY
-
-# find_square stays the canonical route below this length; has_square
-# takes over where the quadratic scan gets slow.
-_FAST_THRESHOLD = 64
-
 
 @dataclass(frozen=True)
 class SquareOccurrence:
@@ -62,20 +56,26 @@ def _square_right_of(w: str, h: int) -> bool:
 
     For each root q, k letters (at most h) match backwards from h-1 and
     h+q-1; the square exists iff k >= 1 and the other q-k letters match
-    forwards from h and h+q, inside w: 2q-k <= m = |w[h:]|.  When k >= q
-    the square is w[h-q:h+q] and both slices are empty.  A match of
-    l < q letters is a copy inside w[h:] of the last l letters of w[:h];
-    when w[h:] is square-free such copies start more than l apart, so
-    about m/l roots at most match l letters and the letter steps total
-    O(m log m).
+    forwards, letter by letter, from h and h+q, inside w: 2q-k <= m =
+    |w[h:]|.  When k >= q the square is w[h-q:h+q] and the forward range
+    is empty.  A backward match of l < q letters is a copy inside w[h:]
+    of the last l letters of w[:h], and a forward match of l letters a
+    copy of the first l letters of w[h:]; when w[h:] is square-free such
+    copies start more than l apart, so about m/l roots at most match l
+    letters either way and the letter steps total O(m log m).  Nothing
+    is copied.
     """
     m = len(w) - h
     for q in range(1, m + 1):
         k = 0
         while k < h and w[h - 1 - k] == w[h + q - 1 - k]:
             k += 1
-        if k and 2 * q - k <= m and w[h : h + q - k] == w[h + q : h + 2 * q - k]:
-            return True
+        if k and 2 * q - k <= m:
+            j, end = h, h + q - k
+            while j < end and w[j] == w[j + q]:
+                j += 1
+            if j >= end:
+                return True
     return False
 
 
@@ -103,8 +103,6 @@ def has_square(w: str) -> bool:
 
 def is_square_free(w: str) -> bool:
     """True iff ``w`` contains no factor vv with v nonempty."""
-    if len(w) <= _FAST_THRESHOLD:
-        return find_square(w) is None
     return not has_square(w)
 
 
@@ -155,30 +153,28 @@ def _walk(
                     stack.append((s, None if lp is None else step(s, lp)))
 
 
-def square_free_range(
-    min_len: int, max_len: int, alphabet: str = TERNARY, prefix: str = ""
-) -> Iterator[str]:
-    """Yield square-free words of every length in [min_len, max_len]
-    extending ``prefix``, in one depth-first pass (pre-order) with
-    incremental suffix checks.
+def square_free_range(min_len: int, max_len: int, alphabet: str = TERNARY) -> Iterator[str]:
+    """Yield square-free words of every length in [min_len, max_len], in
+    one depth-first pass (pre-order) with incremental suffix checks.
 
-    ``prefix`` restricts the walk to extensions of a (square-free)
-    stem; useful for partitioning work across processes.  A non-square-
-    free prefix yields nothing.  Raises RangeError for negative lengths.
+    Raises RangeError for negative lengths, and ResourceGuard before the
+    walk when ``max_len`` exceeds the profile ceiling,
+    ``CRITFACT_MAX_PROFILE_LEN``.
     """
     if min(min_len, max_len) < 0:
         raise RangeError(f"need lengths >= 0, got {min_len}..{max_len}")
-    if min_len > max_len or len(prefix) > max_len or not is_square_free(prefix):
+    cap = DEFAULT_LIMITS.max_profile_len
+    if max_len > cap:
+        raise ResourceGuard(f"max length {max_len} exceeds the profile ceiling {cap}")
+    if min_len > max_len:
         return iter(())
-    return _walk(prefix, min_len, max_len, alphabet, extend_square_free)
+    return _walk("", min_len, max_len, alphabet, extend_square_free)
 
 
-def square_free_words(
-    n: int, alphabet: str = TERNARY, prefix: str = ""
-) -> Iterator[str]:
+def square_free_words(n: int, alphabet: str = TERNARY) -> Iterator[str]:
     """Yield every square-free word of length ``n`` over ``alphabet`` in
     lexicographic order; see ``square_free_range``."""
-    return square_free_range(n, n, alphabet, prefix)
+    return square_free_range(n, n, alphabet)
 
 
 def _within_ceiling(items: Iterable, what: str) -> Iterator:

@@ -312,10 +312,14 @@ def random_square_free(length: int, rng: random.Random, alphabet: str = TERNARY)
     depth-first search that tries the letters at each depth in random
     order and backtracks from dead ends.  Raises RangeError for a
     negative length, or when no square-free word of that length exists
-    over ``alphabet``.
+    over ``alphabet``, and ResourceGuard for a length past the profile
+    ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
     """
     if length < 0:
         raise RangeError(f"need length >= 0, got {length}")
+    cap = DEFAULT_LIMITS.max_profile_len
+    if length > cap:
+        raise ResourceGuard(f"length {length} exceeds the profile ceiling {cap}")
     w = ""
     untried = [rng.sample(alphabet, len(alphabet))]  # per depth, random order
     while len(w) < length:

@@ -263,6 +263,15 @@ def test_one_letter_ranges_past_the_profile_ceiling_exit_2_at_once(capsys):
     )
 
 
+def test_enumeration_past_the_profile_ceiling_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert run(["enumerate", "--n", "100000", "--count-only"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "critfact: error: max length 100000 exceeds the profile ceiling 5000\n"
+    )
+
+
 def test_a_limit_too_long_to_convert_exits_2_on_one_line(capsys, monkeypatch):
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "9" * 5000)
     assert run(["enumerate", "--n", "2"]) == 2

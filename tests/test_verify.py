@@ -269,6 +269,14 @@ def test_random_square_free_rejects_impossible_lengths():
         random_square_free(-1, random.Random(0))
 
 
+def test_random_square_free_keeps_the_profile_ceiling():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ResourceGuard, match="^length 5001 exceeds the profile ceiling 5000$"):
+        random_square_free(5001, rng)
+    assert rng.getstate() == state  # no letter was picked
+
+
 def test_upper_bound_with_random_extension():
     opts = VerifyOptions(random_count=50, random_min=28, random_max=40, seed=11)
     report = verify(TheoremId.UPPER_BOUND, 26, 26, opts)
