@@ -15,7 +15,7 @@ must hold a positive integer; any other value raises RangeError.
 import os
 from dataclasses import dataclass, fields
 
-from .errors import RangeError
+from .errors import RangeError, ResourceGuard
 
 
 @dataclass(frozen=True)
@@ -57,3 +57,11 @@ class _EnvLimits:
 
 
 DEFAULT_LIMITS = _EnvLimits()
+
+
+def _check_profile_len(n: int, label: str) -> None:
+    """Raise ResourceGuard when a length ``n`` passes the profile ceiling,
+    ``CRITFACT_MAX_PROFILE_LEN``, naming it as ``label``."""
+    cap = DEFAULT_LIMITS.max_profile_len
+    if n > cap:
+        raise ResourceGuard(f"{label} {n} exceeds the profile ceiling {cap}")

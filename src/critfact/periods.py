@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_LIMITS
-from .errors import InvalidPeriod, InvalidPosition, ResourceGuard, TooShort
+from .config import _check_profile_len
+from .errors import InvalidPeriod, InvalidPosition, TooShort
 from .words import border_array
 
 
@@ -224,9 +224,7 @@ def profile(w: str) -> PeriodProfile:
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
-    cap = DEFAULT_LIMITS.max_profile_len
-    if n > cap:
-        raise ResourceGuard(f"|w| = {n} exceeds the profile ceiling {cap}")
+    _check_profile_len(n, "|w| =")
     return _profile_of(w, local_periods(w))
 
 

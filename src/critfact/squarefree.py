@@ -5,12 +5,14 @@ has none.  Two detection routes are kept deliberately independent:
 
 * ``find_square`` is the quadratic reference scan.  It reports the
   canonical occurrence (smallest start, then smallest root) and is the
-  oracle every other square check is tested against; no production
-  path calls it.
+  route every other square check is tested against.
 * ``has_square`` answers existence only, by Main-Lorentz divide and
   conquer: both halves, then the squares across the cut, found by
   letter matches from the cut per root on the word and on its mirror
-  image.  ``is_square_free`` is its negation at every length.
+  image.  It makes square-freeness checks of 10^5-letter words
+  affordable.
+
+``is_square_free`` dispatches between them by length.
 
 One depth-first walker enumerates words; ``square_free_range`` and
 ``square_free_words`` run it with ``extend_square_free`` as letter test.
@@ -22,10 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .config import DEFAULT_LIMITS
+from .config import DEFAULT_LIMITS, _check_profile_len
 from .errors import EmptyFactor, RangeError, ResourceGuard
 from .periods import _extend_local_periods
 from .words import TERNARY
+
+# find_square stays the canonical route below this length; has_square
+# takes over where the quadratic scan gets slow.
+_FAST_THRESHOLD = 64
+
 
 @dataclass(frozen=True)
 class SquareOccurrence:
@@ -103,6 +110,8 @@ def has_square(w: str) -> bool:
 
 def is_square_free(w: str) -> bool:
     """True iff ``w`` contains no factor vv with v nonempty."""
+    if len(w) <= _FAST_THRESHOLD:
+        return find_square(w) is None
     return not has_square(w)
 
 
@@ -153,28 +162,33 @@ def _walk(
                     stack.append((s, None if lp is None else step(s, lp)))
 
 
-def square_free_range(min_len: int, max_len: int, alphabet: str = TERNARY) -> Iterator[str]:
-    """Yield square-free words of every length in [min_len, max_len], in
-    one depth-first pass (pre-order) with incremental suffix checks.
+def square_free_range(
+    min_len: int, max_len: int, alphabet: str = TERNARY, prefix: str = ""
+) -> Iterator[str]:
+    """Yield square-free words of every length in [min_len, max_len]
+    extending ``prefix``, in one depth-first pass (pre-order) with
+    incremental suffix checks.
 
-    Raises RangeError for negative lengths, and ResourceGuard before the
-    walk when ``max_len`` exceeds the profile ceiling,
-    ``CRITFACT_MAX_PROFILE_LEN``.
+    ``prefix`` restricts the walk to extensions of a (square-free)
+    stem; useful for partitioning work across processes.  A non-square-
+    free prefix yields nothing.  Raises RangeError for negative lengths,
+    and ResourceGuard before the walk when ``max_len`` exceeds the
+    profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
     """
     if min(min_len, max_len) < 0:
         raise RangeError(f"need lengths >= 0, got {min_len}..{max_len}")
-    cap = DEFAULT_LIMITS.max_profile_len
-    if max_len > cap:
-        raise ResourceGuard(f"max length {max_len} exceeds the profile ceiling {cap}")
-    if min_len > max_len:
+    _check_profile_len(max_len, "max length")
+    if min_len > max_len or len(prefix) > max_len or not is_square_free(prefix):
         return iter(())
-    return _walk("", min_len, max_len, alphabet, extend_square_free)
+    return _walk(prefix, min_len, max_len, alphabet, extend_square_free)
 
 
-def square_free_words(n: int, alphabet: str = TERNARY) -> Iterator[str]:
+def square_free_words(
+    n: int, alphabet: str = TERNARY, prefix: str = ""
+) -> Iterator[str]:
     """Yield every square-free word of length ``n`` over ``alphabet`` in
     lexicographic order; see ``square_free_range``."""
-    return square_free_range(n, n, alphabet)
+    return square_free_range(n, n, alphabet, prefix)
 
 
 def _within_ceiling(items: Iterable, what: str) -> Iterator:

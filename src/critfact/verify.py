@@ -44,7 +44,7 @@ from itertools import chain
 from multiprocessing import Pool
 from typing import Iterable
 
-from .config import DEFAULT_LIMITS
+from .config import DEFAULT_LIMITS, _check_profile_len
 from .errors import CritfactError, RangeError, ResourceGuard
 from .periods import (
     PeriodProfile,
@@ -317,9 +317,7 @@ def random_square_free(length: int, rng: random.Random, alphabet: str = TERNARY)
     """
     if length < 0:
         raise RangeError(f"need length >= 0, got {length}")
-    cap = DEFAULT_LIMITS.max_profile_len
-    if length > cap:
-        raise ResourceGuard(f"length {length} exceeds the profile ceiling {cap}")
+    _check_profile_len(length, "length")
     w = ""
     untried = [rng.sample(alphabet, len(alphabet))]  # per depth, random order
     while len(w) < length:
@@ -382,16 +380,13 @@ def verify_many(
             f"need 2 <= random_min <= random_max, got {opts.random_min}..{opts.random_max}"
         )
     if opts.random_count:
-        cap = DEFAULT_LIMITS.max_profile_len  # random words are profiled too
-        if opts.random_max > cap:
-            raise ResourceGuard(f"random_max {opts.random_max} exceeds the profile ceiling {cap}")
+        _check_profile_len(opts.random_max, "random_max")  # random words are profiled too
 
     start = time.perf_counter()
     ceiling = DEFAULT_LIMITS.max_words
     _count_universe(universe, opts.alphabet, min_len, max_len, ceiling, opts.random_count)
-    cap = DEFAULT_LIMITS.max_profile_len  # every word is profiled
-    if max_len > cap:
-        raise ResourceGuard(f"max length {max_len} exceeds the profile ceiling {cap}")
+    # every word is profiled; a square-free count walk has raised this already
+    _check_profile_len(max_len, "max length")
 
     depth = min(3, min_len)
     prefixes = list(_walk("", depth, depth, opts.alphabet, _ACCEPT[universe]))
@@ -517,10 +512,8 @@ def verify_wx_density(n_max: int) -> VerificationReport:
         raise RangeError(f"need 1 <= n_max <= 6, got {n_max}")
     start = time.perf_counter()
     words = [construct_wx(x_n(n)) for n in range(1, n_max + 1)]
-    cap = DEFAULT_LIMITS.max_profile_len  # the ceiling ``profile`` applies
     for w in words:
-        if len(w) > cap:
-            raise ResourceGuard(f"|w| = {len(w)} exceeds the profile ceiling {cap}")
+        _check_profile_len(len(w), "|w| =")  # the ceiling ``profile`` applies
     tested, found = _check_words(((w, None) for w in words), (TheoremId.WX_DENSITY,))
     found_pairs = [(w, d) for _, w, d in found]
     return _report(TheoremId.WX_DENSITY, {"nMax": n_max}, tested, found_pairs, start)

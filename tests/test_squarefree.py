@@ -21,13 +21,7 @@ from critfact.cli import run
 from critfact.periods import local_periods, local_periods_scan
 from critfact.squarefree import _walk
 from critfact.thue import m_prefix
-from critfact.verify import (
-    TheoremId,
-    _count_universe,
-    explore_problem1,
-    verify_alpha_extremal,
-    verify_many,
-)
+from critfact.verify import _count_universe, verify_alpha_extremal
 
 from conftest import all_words, brute_has_square
 
@@ -148,21 +142,6 @@ def test_find_square_occurrence_is_real():
                 assert w[s : s + r] == w[s + r : s + 2 * r] == occ.root
 
 
-def test_the_oracle_runs_on_no_production_path(monkeypatch, capsys):
-    def refuse(w):
-        raise AssertionError("find_square ran outside a test")
-
-    monkeypatch.setattr(squarefree_module, "find_square", refuse)
-    for n in range(0, 9):
-        for w in all_words(n):
-            assert is_square_free(w) != brute_has_square(w)
-    ids = [TheoremId.MIN_REP_UNBORDERED, TheoremId.OVERFLOW_IFF_SQUAREFREE]
-    assert [r.verdict for r in verify_many(ids, 2, 6)] == ["PASS", "PASS"]
-    assert run(["generate", "wx", "--n", "1", "--json"]) == 0
-    assert '"squareFree": true' in capsys.readouterr().out
-    assert explore_problem1(1, 6)["problem"] == "problem1"
-
-
 def test_extend_square_free():
     assert extend_square_free("01", "0")
     assert not extend_square_free("01", "1")
@@ -198,6 +177,14 @@ def test_enumeration_is_lexicographic_and_square_free():
         assert is_square_free(w)
 
 
+def test_enumeration_prefix_partition():
+    whole = list(square_free_words(7))
+    parts = []
+    for pre in square_free_words(3):
+        parts.extend(square_free_words(7, prefix=pre))
+    assert sorted(parts) == whole
+
+
 def test_square_free_range_covers_all_lengths():
     got = sorted(square_free_range(2, 5), key=lambda w: (len(w), w))
     want = [w for n in range(2, 6) for w in square_free_words(n)]
@@ -230,7 +217,7 @@ def test_walk_without_letter_test_yields_every_word():
 def test_walk_carries_local_periods_on_request():
     for prefix in ("01", "0120"):
         pairs = list(_walk(prefix, 2, 16, "012", extend_square_free, local_periods(prefix)))
-        assert [w for w, _ in pairs] == [w for w in square_free_range(2, 16) if w.startswith(prefix)]
+        assert [w for w, _ in pairs] == list(square_free_range(2, 16, prefix=prefix))
         for w, lp in pairs:
             assert lp == local_periods_scan(w), w
 

@@ -14,7 +14,6 @@ from critfact import (
     verify_wx_density,
 )
 from critfact import squarefree as squarefree_module
-from critfact.config import Limits
 from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods_scan
 from critfact.squarefree import count_square_free, find_square, is_square_free, square_free_words
@@ -359,7 +358,7 @@ def test_wx_density_suite():
 
 def test_wx_density_keeps_the_profile_ceiling(monkeypatch):
     # w_x has 44, 92 and 284 letters for n = 1, 2, 3
-    monkeypatch.setattr(verify_module, "DEFAULT_LIMITS", Limits(max_profile_len=100))
+    monkeypatch.setenv("CRITFACT_MAX_PROFILE_LEN", "100")
     assert verify_wx_density(2).verdict == "PASS"
     with pytest.raises(ResourceGuard, match="284 exceeds the profile ceiling 100"):
         verify_wx_density(3)
