@@ -155,12 +155,15 @@ def _profile_csv(profs) -> str:
 def _cmd_profile(args) -> int:
     words = []
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                w = line.rstrip("\n")
-                if not w:
-                    raise CritfactError(f"{args.file}:{lineno}: empty word")
-                words.append(parse_word(w))
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    w = line.rstrip("\n")
+                    if not w:
+                        raise CritfactError(f"{args.file}:{lineno}: empty word")
+                    words.append(parse_word(w))
+        except UnicodeDecodeError as exc:
+            raise CritfactError(f"{args.file}: {exc}") from None
     elif args.word is not None:
         words.append(parse_word(args.word))
     else:

@@ -9,22 +9,26 @@ Vocabulary (see README for worked examples):
   global period per(w), and p is *critical* when per(w, p) = per(w).
 * eta(w) counts the critical points; density is eta / (|w| - 1).
 
-The minimal local period is computed by two routes:
+The minimal local period is computed by three routes:
 
 * ``local_period`` / ``local_periods_scan`` / ``is_local_period``: the
   definitional scan, trying q = 1, 2, ... with a letter-by-letter window
   check, written once and run per position.  This is the reference route.
 * ``_extend_local_periods``: the trie step, which derives the local
-  periods of w.a from those of w.  The walker of ``squarefree`` runs it
-  down the range-suite universes and the ``explore problem2`` search;
-  ``local_periods`` folds it over one word letter by letter, for
-  ``profile`` and every other single-word caller.
+  periods of w.a from those of w.  Only the walker of ``squarefree``
+  runs it, down the range-suite universes and the ``explore problem2``
+  search, where each word's parent has its periods already.
+* ``local_periods``: the direct route for one word, for ``profile`` and
+  every other single-word caller.  At each position it splits the
+  candidates q into the four ranges of the scan's window (a square
+  centred at the cut, y inside x, x inside y, a period of w) and finds
+  the least q of each range with ``str.find``, or takes per(w).
 
-The scan shares no code with the trie step, and the two must agree
-everywhere; the verification suites and ``explore problem2`` recompute
-the scan beside the trie step and treat any disagreement as a failure
-of the run itself.  One builder turns local periods into a profile, for
-``profile`` and for those checked runs.
+The scan shares no code with the two fast routes, and all three must
+agree everywhere; the verification suites and ``explore problem2``
+recompute the scan beside the fast route and treat any disagreement as
+a failure of the run itself.  One builder turns local periods into a
+profile, for ``profile`` and for those checked runs.
 """
 
 from __future__ import annotations
@@ -99,7 +103,9 @@ def local_periods_scan(w: str) -> list[int]:
 
 def _extend_local_periods(s: str, lp: list[int]) -> list[int]:
     """Minimal local periods of s = w.a, given ``lp``, those of the
-    nonempty word w.
+    nonempty word w: the trie step, run only by the walker of
+    ``squarefree``, one letter per step.  ``local_periods`` serves a
+    single word without it.
 
     Appending a letter only enlarges each matching window, so
     per(s, p) >= per(w, p).  At p < |w| the window of q = per(w, p)
@@ -129,17 +135,62 @@ def _extend_local_periods(s: str, lp: list[int]) -> list[int]:
     return out
 
 
+def _least_centred_root(w: str, p: int, lim: int) -> int:
+    """Least r <= ``lim`` with w[p-r:p] == w[p:p+r], a square centred at
+    ``p``, or 0 if there is none.
+
+    For size = 1, 2, 4, ... a root r in [size, 2 size) ends, on both
+    sides of the cut, with t = w[p-size:p], so t occurs at p+r-size;
+    ``find`` jumps to those occurrences, and a slice compares the rest
+    of the two roots.  Two occurrences of t at most size apart make a
+    square, so around a square-free stretch each size meets at most one.
+    """
+    size = 1
+    while size <= lim:
+        end = p + min(2 * size - 1, lim)
+        t = w[p - size : p]
+        j = w.find(t, p, end)
+        while j >= 0:
+            r = j + size - p
+            if w[p - r : p - size] == w[p:j]:
+                return r
+            j = w.find(t, j + 1, end)
+        size *= 2
+    return 0
+
+
 def local_periods(w: str) -> list[int]:
-    """Minimal local periods at every position 1..|w|-1, by the trie
-    step folded over ``w`` from its first letter, which has no positions.
+    """Minimal local periods at every position 1..|w|-1, by the direct
+    route.
+
+    At p, with x = w[:p] and y = w[p:], the scan's window splits the
+    candidates q into four ranges, taken in increasing order of q:
+    q <= min(p, |w|-p) is a square centred at p; |w|-p < q <= p puts y
+    inside x at p-q (the last occurrence, by ``rfind``); p < q <= |w|-p
+    puts x inside y at q (the first, by ``find``); and q > max(p, |w|-p)
+    is a period of w.  Every period of w is a local period everywhere,
+    so the first three ranges find per(w) when it is at most
+    max(p, |w|-p), and the last range is reached only when it is not:
+    its least period is then per(w) itself.
     """
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
-    lp: list[int] = []
-    for i in range(2, n + 1):
-        lp = _extend_local_periods(w[:i], lp)
-    return lp
+    per = n - border_array(w)[-1]
+    out = []
+    for p in range(1, n):
+        lim = p if 2 * p <= n else n - p
+        q = _least_centred_root(w, p, lim)
+        if not q and 2 * p > n:
+            i = w.rfind(w[p:], 0, p - 1)
+            if i >= 0:
+                q = p - i
+        elif not q and 2 * p < n:
+            i = w.find(w[:p], p + 1)
+            if i >= 0:
+                q = i
+        out.append(q or per)
+    return out
 
 
 @dataclass(frozen=True)

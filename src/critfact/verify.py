@@ -1,13 +1,13 @@
 """Theorem-by-theorem verification over exhaustive word universes.
 
 Every local-period sequence behind a verdict or an exploration row
-comes from the trie step and meets the definitional scan in one place,
+comes from a fast route and meets the definitional scan in one place,
 ``_checked_profile``, which builds the profile only when they agree.
 A suite reports a disagreement as a counterexample whatever it would
 have concluded; ``explore_problem2`` raises CritfactError.  The range
 suites and ``explore_problem2`` step local periods down the walk from
-each word's parent; chunk prefixes, family words and random words take
-``local_periods``, the same step folded over the word.
+each word's parent with the trie step; chunk prefixes, family words and
+random words take ``local_periods``, the direct route for one word.
 
 Range suites (``verify`` / ``verify_many``) walk a word universe
 determined by the theorem:
@@ -151,12 +151,12 @@ class VerificationReport:
 
 
 class _RoutesDisagree(CritfactError):
-    """The trie step's local periods differ from the scan's."""
+    """A fast route's local periods differ from the scan's."""
 
 
 def _checked_profile(w: str, lp: list[int]) -> PeriodProfile:
-    """The profile of ``w`` from ``lp``, its local periods by the trie
-    step, once the scan agrees with them; raises _RoutesDisagree
+    """The profile of ``w`` from ``lp``, its local periods by a fast
+    route, once the scan agrees with them; raises _RoutesDisagree
     otherwise."""
     scan = local_periods_scan(w)
     if lp != scan:

@@ -65,6 +65,18 @@ def test_profile_rejects_blank_line(capsys, tmp_path):
     assert ":2: empty word" in capsys.readouterr().err
 
 
+def test_profile_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "words.bin"
+    path.write_bytes(b"\xff\xfe01\n")
+    assert run(["profile", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"critfact: error: {path}: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
+
+
 def test_global_verb(capsys):
     assert run(["global", "0120201202021021021"]) == 0
     assert capsys.readouterr().out.strip() == "19"

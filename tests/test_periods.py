@@ -10,12 +10,15 @@ from critfact import (
     InvalidPeriod,
     InvalidPosition,
     TooShort,
+    beta_n,
+    construct_wx,
     critical_interval,
     is_local_period,
     is_unimodal,
     local_period,
     local_periods,
     local_periods_scan,
+    m_prefix,
     midpoint,
     profile,
     profile_csv_rows,
@@ -23,7 +26,11 @@ from critfact import (
     repetition_info,
     random_square_free,
     reverse,
+    verify_beta_eta,
+    verify_wx_density,
+    x_n,
 )
+from critfact import periods as periods_module
 from critfact.periods import _extend_local_periods
 from critfact.squarefree import _walk, square_free_words
 
@@ -96,6 +103,80 @@ def test_scan_and_local_periods_agree_exhaustively():
 @given(st.text(alphabet="012", min_size=2, max_size=150))
 def test_scan_and_local_periods_agree_random(w):
     assert local_periods(w) == local_periods_scan(w)
+
+
+def _fibonacci_prefix(n):
+    a, b = "0", "01"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _thue_morse_prefix(n):
+    return "".join(str(bin(i).count("1") % 2) for i in range(n))
+
+
+def test_direct_route_finds_planted_centred_squares():
+    # uu with |u| = 1..64 crosses every length at which the search for
+    # a centred square doubles; the square sits at the start, the end
+    # and inside square-free words, and every cut of each word is checked
+    m = m_prefix(200)
+    for r in range(1, 65):
+        u = m[100 : 100 + r]
+        for left, right in ((0, 30), (1, 5), (30, 0), (5, 1), (40, 40)):
+            w = m[:left] + u + u + m[130 : 130 + right]
+            lp = local_periods(w)
+            assert lp == local_periods_scan(w), (r, left, right)
+            assert lp[left + r - 1] <= r
+
+
+def test_direct_route_equals_scan_on_long_family_words():
+    for w in (m_prefix(1200), construct_wx(x_n(4)), beta_n(5)):
+        assert len(w) >= 1000
+        assert local_periods(w) == local_periods_scan(w)
+
+
+def test_direct_route_equals_scan_on_repetitive_words():
+    for w in (
+        "0" * 1500,
+        "01" * 750,
+        _fibonacci_prefix(1500),
+        _thue_morse_prefix(1500),
+        (m_prefix(17) * 80)[:1300],
+    ):
+        assert local_periods(w) == local_periods_scan(w)
+
+
+def test_direct_route_equals_scan_over_four_letters():
+    rng = random.Random(4)
+    for n in (2, 3, 17, 64, 300):
+        for _ in range(5):
+            w = "".join(rng.choice("0123") for _ in range(n))
+            assert local_periods(w) == local_periods_scan(w), w
+    w = random_square_free(1000, random.Random(4), "0123")
+    assert local_periods(w) == local_periods_scan(w)
+
+
+def test_direct_route_mirror_symmetry_on_long_words():
+    rng = random.Random(5)
+    for w in (
+        m_prefix(3000),
+        construct_wx(x_n(5)),
+        _thue_morse_prefix(2000),
+        "".join(rng.choice("012") for _ in range(2000)),
+    ):
+        assert local_periods(reverse(w)) == local_periods(w)[::-1]
+
+
+def test_single_words_run_no_trie_step(monkeypatch):
+    def refuse(s, lp):
+        raise AssertionError("the trie step ran on a single word")
+
+    monkeypatch.setattr(periods_module, "_extend_local_periods", refuse)
+    assert local_periods("0120201202021021021") == EX1_LP
+    assert profile(m_prefix(1000)).period > 500
+    assert verify_wx_density(2).verdict == "PASS"
+    assert verify_beta_eta(2, 1000).verdict == "PASS"
 
 
 def _stepped_prefixes(w):
