@@ -12,8 +12,10 @@ Vocabulary (see README for worked examples):
 The minimal local period is computed by three routes:
 
 * ``local_period`` / ``local_periods_scan`` / ``is_local_period``: the
-  definitional scan, trying q = 1, 2, ... with a letter-by-letter window
-  check, written once and run per position.  This is the reference route.
+  definitional scan, trying q = 1, 2, ... against the matching window:
+  the window predicate, for every position per q by bitmasks
+  (``local_periods_scan``); one position by the letter loop
+  (``local_period``, ``is_local_period``).  This is the reference route.
 * ``_extend_local_periods``: the trie step, which derives the local
   periods of w.a from those of w.  Only the walker of ``squarefree``
   runs it, down the range-suite universes and the ``explore problem2``
@@ -90,15 +92,54 @@ def local_period(w: str, p: int) -> int:
 
 
 def local_periods_scan(w: str) -> list[int]:
-    """Minimal local periods at every position, reference route.
+    """Minimal local periods at every position, reference route: the
+    window predicate, for every position per q by bitmasks.
 
-    The definitional scan at each position in turn; kept free of
-    shortcuts so it can serve as the oracle for the trie step.
+    Bit j of a letter's mask marks w[j] = that letter (0-based), so the
+    OR over all letters but one of mask ^ (mask >> q), cut to |w|-q bits,
+    is the set of mismatches j < |w|-q with w[j] != w[j+q]; a mismatch
+    shows in the masks of both its letters, so one mask can go.  A
+    mismatch j lies in the window of q at p exactly when p-q <= j < p,
+    so the positions where q fails are that set shifted by 1..q, by
+    doubling shifts.  Every position still open outside them gets q.
+    The window is empty at q = |w|, so every position is settled there
+    at the latest.  Like ``local_period``, it tries every q from 1 at
+    every unsettled position and is kept free of shortcuts, so it can
+    serve as the oracle for the trie step and the direct route.
     """
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
-    return [_least_local_period(w, p) for p in range(1, n)]
+    masks = {}
+    bit = 1
+    for c in w:
+        masks[c] = masks.get(c, 0) | bit
+        bit <<= 1
+    del masks[w[0]]
+    masks = masks.values()
+    cut = bit - 1
+    out = [0] * (n - 1)
+    todo = bit - 2  # bit p: position p is open, 1 <= p < |w|
+    q = 0
+    while todo:
+        q += 1
+        mismatch = 0
+        for e in masks:
+            mismatch |= e ^ (e >> q)
+        fail = (mismatch & cut >> q) << 1
+        width = 1  # fail holds the mismatches shifted by 1..width
+        while 2 * width <= q:
+            fail |= fail << width
+            width *= 2
+        if width < q:
+            fail |= fail << (q - width)
+        done = todo & ~fail
+        todo ^= done
+        while done:
+            low = done & -done
+            out[low.bit_length() - 2] = q
+            done ^= low
+    return out
 
 
 def _extend_local_periods(s: str, lp: list[int]) -> list[int]:

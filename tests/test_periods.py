@@ -116,6 +116,33 @@ def _thue_morse_prefix(n):
     return "".join(str(bin(i).count("1") % 2) for i in range(n))
 
 
+def _per_position_scan(w):
+    return [local_period(w, p) for p in range(1, len(w))]
+
+
+def test_bulk_scan_equals_per_position_scan_exhaustively():
+    # the bulk scan keeps one mask per letter, so a non-digit alphabet
+    # and alphabets of one to four letters are covered
+    for alphabet, max_len in (("012", 9), ("01", 13), ("0123", 7), ("xyz", 7), ("a", 6)):
+        for n in range(2, max_len + 1):
+            for w in all_words(n, alphabet):
+                assert local_periods_scan(w) == _per_position_scan(w), w
+
+
+def test_bulk_scan_equals_per_position_scan_on_long_words():
+    for w in (
+        m_prefix(1200),
+        construct_wx(x_n(4)),
+        beta_n(5),
+        "0" * 1500,
+        "01" * 750,
+        _fibonacci_prefix(1500),
+        _thue_morse_prefix(1500),
+    ):
+        assert len(w) >= 1000
+        assert local_periods_scan(w) == _per_position_scan(w)
+
+
 def test_direct_route_finds_planted_centred_squares():
     # uu with |u| = 1..64 crosses every length at which the search for
     # a centred square doubles; the square sits at the start, the end

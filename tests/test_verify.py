@@ -13,6 +13,7 @@ from critfact import (
     verify_many,
     verify_wx_density,
 )
+from critfact import periods as periods_module
 from critfact import squarefree as squarefree_module
 from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods_scan
@@ -350,6 +351,10 @@ def test_beta_eta_suite():
 def test_wx_density_suite():
     report = verify_wx_density(2)
     assert report.verdict == "PASS"
+    # n = 5 gives the largest w_x (4,124 letters) within the default
+    # profile ceiling
+    report = verify_wx_density(5)
+    assert (report.verdict, report.tested) == ("PASS", 5)
     with pytest.raises(RangeError):
         verify_wx_density(0)
     with pytest.raises(RangeError):
@@ -408,6 +413,18 @@ def test_scan_guards_the_problem2_walk(monkeypatch):
     detail = f"local-period routes disagree: trie={wrong} scan={scan}"
     with pytest.raises(CritfactError, match=re.escape(detail)):
         explore_problem2(8)
+
+
+def test_checked_runs_scan_every_position_at_once(monkeypatch):
+    def refuse(w, p, q=1):
+        raise AssertionError("the per-position scan ran in a checked run")
+
+    monkeypatch.setattr(periods_module, "_least_local_period", refuse)
+    ids = [TheoremId.MIDPOINT, TheoremId.UNIMODAL, TheoremId.INTERVAL, TheoremId.LOWER_BOUND]
+    assert [r.verdict for r in verify_many(ids, 2, 10)] == ["PASS"] * 4
+    assert verify_wx_density(2).verdict == "PASS"
+    assert verify_beta_eta(2, 1000).verdict == "PASS"
+    assert [row["minExcess"] for row in explore_problem2(12)["lengths"]] == [1, 1, 1]
 
 
 def test_problem2_keeps_its_cumulative_word_ceiling(monkeypatch):
