@@ -21,7 +21,7 @@ from .periods import (
     profile_csv_rows,
     profile_json_dict,
 )
-from .squarefree import _within_ceiling, count_square_free, is_square_free, square_free_words
+from .squarefree import count_square_free, is_square_free, square_free_words
 from .thue import (
     alpha_n,
     beta_family,
@@ -191,11 +191,9 @@ def _cmd_global(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.count_only:
-        count = count_square_free(args.n)
-    else:
-        lines = list(_within_ceiling(square_free_words(args.n), "enumeration"))
-        count = len(lines)
+    count = count_square_free(args.n)  # both ceilings hold before any word is listed
+    if not args.count_only:
+        lines = list(square_free_words(args.n))
     if args.json:
         doc: dict = {"n": args.n, "count": count}
         if not args.count_only:

@@ -10,6 +10,12 @@ resource envelope.  Each is one ``Limits`` field, set by the variable
 
 A variable is read when a call checks its ceiling, never at import, and
 must hold a positive integer; any other value raises RangeError.
+
+These fields are the only limits: no suite or search keeps a cap of its
+own.  Square-free universes are counted length by length against the
+word ceiling before they are walked, so a run past it stops at the first
+length that passes it; only ``explore problem1``, whose search stops at
+each length's first witness, holds its running total to it as it goes.
 """
 
 import os

@@ -17,12 +17,18 @@ has none.  Two detection routes are kept deliberately independent:
 One depth-first walker enumerates words; ``square_free_range`` and
 ``square_free_words`` run it with ``extend_square_free`` as letter test.
 On request it also carries each word's local periods down the trie.
+
+Counts go breadth first instead: ``_counts_by_length`` grows each
+length's square-free words from the previous length's, so every
+pre-count (``count_square_free``, the range suites' and ``explore
+problem2``'s) stops at the first length past the word ceiling and
+builds no longer word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .config import DEFAULT_LIMITS, _check_profile_len
 from .errors import EmptyFactor, RangeError, ResourceGuard
@@ -191,20 +197,45 @@ def square_free_words(
     return square_free_range(n, n, alphabet, prefix)
 
 
-def _within_ceiling(items: Iterable, what: str) -> Iterator:
-    """Yield ``items``; raise ResourceGuard once more than the word
-    ceiling, ``CRITFACT_MAX_WORDS``, have come."""
+def _counts_by_length(max_len: int, alphabet: str) -> Iterator[int]:
+    """Yield the number of square-free words over ``alphabet`` of each
+    length 0..``max_len``, in order.  Length 1 comes from
+    ``square_free_words`` and each longer length from the words of the
+    one before, grown by ``extend_square_free``, so no more than two
+    lengths' words are held at once.  Raises RangeError for a negative
+    length and ResourceGuard when ``max_len`` passes the profile
+    ceiling, both before the first count; it also raises ResourceGuard
+    rather than grow a length that holds more words than the word
+    ceiling, ``CRITFACT_MAX_WORDS``.
+    """
+    if max_len < 0:
+        raise RangeError(f"need length >= 0, got {max_len}")
+    _check_profile_len(max_len, "max length")
     ceiling = DEFAULT_LIMITS.max_words
-    for count, item in enumerate(items, 1):
-        if count > ceiling:
-            raise ResourceGuard(f"{what} exceeded the ceiling of {ceiling} words")
-        yield item
+    yield 1  # the empty word
+    if max_len:
+        words = list(square_free_words(1, alphabet))
+        yield len(words)
+        for n in range(2, max_len + 1):
+            if len(words) > ceiling:
+                raise ResourceGuard(
+                    f"{len(words)} square-free words of length {n - 1} exceed the ceiling {ceiling}"
+                )
+            words = [w + a for w in words for a in alphabet if extend_square_free(w, a)]
+            yield len(words)
 
 
 def count_square_free(n: int, alphabet: str = TERNARY) -> int:
-    """Number of square-free words of length ``n`` over ``alphabet``.
-    Raises ResourceGuard past the word ceiling, ``CRITFACT_MAX_WORDS``."""
-    return sum(1 for _ in _within_ceiling(square_free_words(n, alphabet), "enumeration"))
+    """Number of square-free words of length ``n`` over ``alphabet``,
+    counted length by length.  Raises ResourceGuard when ``n`` passes
+    the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``, and at the first
+    length that holds more words than the word ceiling,
+    ``CRITFACT_MAX_WORDS``."""
+    ceiling = DEFAULT_LIMITS.max_words
+    for count in _counts_by_length(n, alphabet):
+        if count > ceiling:
+            raise ResourceGuard(f"enumeration exceeded the ceiling of {ceiling} words")
+    return count
 
 
 def overlaps_self(x: str, w: str) -> bool:

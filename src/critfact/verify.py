@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from multiprocessing import Pool
 from typing import Iterable
 
@@ -56,12 +56,11 @@ from .periods import (
     local_periods_scan,
 )
 from .squarefree import (
+    _counts_by_length,
     _walk,
-    _within_ceiling,
     extend_square_free,
     is_square_free,
     overlaps_self,
-    square_free_range,
     square_free_words,
 )
 from .thue import beta_family, construct_wx, x_n
@@ -290,15 +289,16 @@ def _count_universe(
     universe: str, alphabet: str, min_len: int, max_len: int, ceiling: int, extra: int
 ) -> int:
     """Words to test: ``extra`` plus the universe, added up length by
-    length (k^n words over k letters, or a walk of the square-free ones).
-    Raises ResourceGuard the moment the total passes the ceiling, so it
-    walks no further and names a total of bounded size."""
+    length (k^n words over k letters, or the square-free ones as
+    ``_counts_by_length`` grows them).  Raises ResourceGuard the moment
+    the total passes the ceiling, so it counts no further and names a
+    total of bounded size."""
     if _ACCEPT[universe] is None:
         # past the ceiling's bit length k^n exceeds it for any k >= 2
         cap = ceiling.bit_length()
         sizes = (len(alphabet) ** min(n, cap) for n in range(min_len, max_len + 1))
     else:
-        sizes = (1 for _ in square_free_range(min_len, max_len, alphabet))
+        sizes = islice(_counts_by_length(max_len, alphabet), min_len, None)
     total = 0
     for size in chain([extra], sizes):
         total += size
@@ -506,14 +506,18 @@ def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
 def verify_wx_density(n_max: int) -> VerificationReport:
     """For n = 1..n_max check the template words w = 0x02x10x02x0 built
     on x = x_n: square-free, eta = |x|+3, eta/|w| = 1/4 + 1/|w| exactly,
-    and critical interval [2|x|+4, 3|x|+6].
+    and critical interval [2|x|+4, 3|x|+6].  Each w is checked against
+    the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``, as it is built;
+    |w| = 4^(n+1) + 28 grows past the default 5000 at n = 6.
     """
-    if not 1 <= n_max <= 6:
-        raise RangeError(f"need 1 <= n_max <= 6, got {n_max}")
+    if n_max < 1:
+        raise RangeError(f"need n_max >= 1, got {n_max}")
     start = time.perf_counter()
-    words = [construct_wx(x_n(n)) for n in range(1, n_max + 1)]
-    for w in words:
+    words = []
+    for n in range(1, n_max + 1):
+        w = construct_wx(x_n(n))
         _check_profile_len(len(w), "|w| =")  # the ceiling ``profile`` applies
+        words.append(w)
     tested, found = _check_words(((w, None) for w in words), (TheoremId.WX_DENSITY,))
     found_pairs = [(w, d) for _, w, d in found]
     return _report(TheoremId.WX_DENSITY, {"nMax": n_max}, tested, found_pairs, start)
@@ -529,9 +533,15 @@ _PROBLEM1_NOTE = (
 
 def explore_problem1(len_min: int, len_max: int) -> dict:
     """Witness-or-exhausted table: for each length, the first square-free
-    x whose template word 0x02x10x02x0 is square-free, if any."""
+    x whose template word 0x02x10x02x0 is square-free, if any.
+
+    ``len_max`` may not pass the profile ceiling, checked before the
+    first length.  Each length's search stops at its first witness, so
+    the words searched cannot be counted ahead: the running total is
+    held to the word ceiling, ``CRITFACT_MAX_WORDS``, as it grows."""
     if not 1 <= len_min <= len_max:
         raise RangeError(f"need 1 <= min <= max, got {len_min}..{len_max}")
+    _check_profile_len(len_max, "max length")
     ceiling = DEFAULT_LIMITS.max_words
     searched_total = 0
     rows = []
@@ -554,9 +564,15 @@ def explore_problem2(len_max: int) -> dict:
     """Per-length minima of eta(w) - |w|/4 over square-free words with
     length divisible by 4, plus any exact-equality witnesses, from one
     walk that steps local periods down the trie; the scan checks them on
-    every word reported, and a disagreement raises CritfactError."""
-    if not 4 <= len_max <= 30:
-        raise RangeError(f"need 4 <= len_max <= 30, got {len_max}")
+    every word reported, and a disagreement raises CritfactError.
+
+    Before the walk, the square-free words of lengths 4..``len_max`` are
+    counted length by length against the word ceiling,
+    ``CRITFACT_MAX_WORDS``, and ``len_max`` is held to the profile
+    ceiling, ``CRITFACT_MAX_PROFILE_LEN``."""
+    if len_max < 4:
+        raise RangeError(f"need len_max >= 4, got {len_max}")
+    _count_universe("square-free", TERNARY, 4, len_max, DEFAULT_LIMITS.max_words, 0)
     rows = {
         length: {"length": length, "minExcess": None, "witnesses": [], "tested": 0}
         for length in range(4, len_max + 1, 4)
@@ -567,7 +583,7 @@ def explore_problem2(len_max: int) -> dict:
         for w, lp in _walk(a, 4, len_max, TERNARY, extend_square_free, [])
         if len(w) % 4 == 0
     )
-    for w, lp in _within_ceiling(walk, "search"):
+    for w, lp in walk:
         row = rows[len(w)]
         row["tested"] += 1
         excess = _checked_profile(w, lp).eta - len(w) // 4

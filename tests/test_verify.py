@@ -18,6 +18,7 @@ from critfact import squarefree as squarefree_module
 from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods_scan
 from critfact.squarefree import count_square_free, find_square, is_square_free, square_free_words
+from critfact.thue import x_n
 from critfact.verify import _check_word
 
 import importlib
@@ -357,7 +358,9 @@ def test_wx_density_suite():
     assert (report.verdict, report.tested) == ("PASS", 5)
     with pytest.raises(RangeError):
         verify_wx_density(0)
-    with pytest.raises(RangeError):
+    # n = 6 gives 16,412 letters: the profile ceiling, not a cap of the
+    # suite's own, refuses it
+    with pytest.raises(ResourceGuard, match=r"^\|w\| = 16412 exceeds the profile ceiling 5000$"):
         verify_wx_density(7)
 
 
@@ -392,8 +395,8 @@ def test_explore_problem2():
     for row in rows.values():
         assert row["minExcess"] == 1
         assert row["witnesses"] == []
-    with pytest.raises(RangeError):
-        explore_problem2(40)
+    with pytest.raises(ResourceGuard, match="^max length 5001 exceeds the profile ceiling 5000$"):
+        explore_problem2(5001)
     with pytest.raises(RangeError):
         explore_problem2(3)
 
@@ -428,34 +431,94 @@ def test_checked_runs_scan_every_position_at_once(monkeypatch):
 
 
 def test_problem2_keeps_its_cumulative_word_ceiling(monkeypatch):
-    # lengths 4 and 8 hold 18 + 78 = 96 square-free words
-    monkeypatch.setenv("CRITFACT_MAX_WORDS", "96")
+    # the walk visits all 18 + 30 + 42 + 60 + 78 = 228 square-free words
+    # of lengths 4..8, and the pre-count counts every one of them
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "228")
     assert [row["tested"] for row in explore_problem2(8)["lengths"]] == [18, 78]
-    monkeypatch.setenv("CRITFACT_MAX_WORDS", "95")
-    with pytest.raises(ResourceGuard, match="search exceeded the ceiling of 95 words"):
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "227")
+    with pytest.raises(ResourceGuard, match="^at least 228 words to test exceed the ceiling 227$"):
         explore_problem2(8)
 
 
+def test_problem2_counts_to_the_first_length_past_the_ceiling(monkeypatch):
+    # lengths 4..13 hold 1,290 square-free words, lengths 4..12 only 948
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "1000")
+    with pytest.raises(ResourceGuard, match="^at least 1290 words to test exceed the ceiling 1000$"):
+        explore_problem2(5000)
+
+
 def test_word_ceilings_are_counted_by_the_shared_iterator(monkeypatch, capsys):
-    within_ceiling = squarefree_module._within_ceiling
+    counts_by_length = squarefree_module._counts_by_length
     seen = []
 
-    def spy(items, what):
-        seen.append(what)
-        return within_ceiling(items, what)
+    def spy(max_len, alphabet):
+        seen.append(max_len)
+        return counts_by_length(max_len, alphabet)
 
-    for module in (squarefree_module, cli_module, verify_module):
-        monkeypatch.setattr(module, "_within_ceiling", spy)
+    for module in (squarefree_module, verify_module):
+        monkeypatch.setattr(module, "_counts_by_length", spy)
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "10")
     with pytest.raises(ResourceGuard, match="^enumeration exceeded the ceiling of 10 words$"):
         count_square_free(12)
+    # the listing counts first, so it stops at length 3 too
     assert cli_module.run(["enumerate", "--n", "12"]) == 2
     assert capsys.readouterr().err == (
         "critfact: error: enumeration exceeded the ceiling of 10 words\n"
     )
-    with pytest.raises(ResourceGuard, match="^search exceeded the ceiling of 10 words$"):
+    # lengths below the range are not counted, but none past the
+    # ceiling is grown: length 3 holds 12 words
+    with pytest.raises(ResourceGuard, match="^12 square-free words of length 3 exceed the ceiling 10$"):
         explore_problem2(8)
-    assert seen == ["enumeration", "enumeration", "search"]
+    with pytest.raises(ResourceGuard, match="^at least 18 words to test exceed the ceiling 10$"):
+        verify(TheoremId.MIDPOINT, 2, 12)
+    assert seen == [12, 12, 8, 12]
+
+
+def test_range_suites_count_to_the_first_length_past_the_ceiling(monkeypatch):
+    # lengths 2..13 hold 1,308 square-free words, lengths 2..12 only 966
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "1000")
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    with pytest.raises(ResourceGuard, match="^at least 1308 words to test exceed the ceiling 1000$"):
+        verify(TheoremId.MIDPOINT, 2, 5000)
+
+
+def test_counts_grow_no_length_past_the_word_ceiling(monkeypatch):
+    extend = squarefree_module.extend_square_free
+
+    def short_only(w, a):
+        if len(w) > 100:
+            raise AssertionError(f"a word of {len(w)} letters was extended")
+        return extend(w, a)
+
+    monkeypatch.setattr(squarefree_module, "extend_square_free", short_only)
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "10000")
+    pattern = "^[0-9]+ square-free words of length [0-9]+ exceed the ceiling 10000$"
+    with pytest.raises(ResourceGuard, match=pattern):
+        verify(TheoremId.UPPER_BOUND, 4000, 4000)
+    with pytest.raises(ResourceGuard, match="^enumeration exceeded the ceiling of 10000 words$"):
+        count_square_free(4000)
+
+
+def test_problem1_checks_the_profile_ceiling_before_it_searches(monkeypatch):
+    def refuse(n, alphabet="012"):
+        raise AssertionError("problem1 searched before its ceiling check")
+
+    monkeypatch.setattr(verify_module, "square_free_words", refuse)
+    with pytest.raises(ResourceGuard, match="^max length 5001 exceeds the profile ceiling 5000$"):
+        explore_problem1(1, 5001)
+
+
+def test_wx_density_checks_each_word_as_it_is_built(monkeypatch):
+    calls = []
+
+    def counted_x_n(n):
+        calls.append(n)
+        return x_n(n)
+
+    monkeypatch.setattr(verify_module, "x_n", counted_x_n)
+    with pytest.raises(ResourceGuard, match=r"^\|w\| = 16412 exceeds the profile ceiling 5000$"):
+        verify_wx_density(10**9)
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("lo, hi", [(2, 10**4), (2, 10**6), (10**9, 10**9)])
