@@ -14,7 +14,8 @@ The minimal local period is computed by three routes:
 * ``local_period`` / ``local_periods_scan`` / ``is_local_period``: the
   definitional scan, trying q = 1, 2, ... against the matching window:
   the window predicate, for every position per q by bitmasks
-  (``local_periods_scan``); one position by the letter loop
+  (``local_periods_scan``, which also scans a block of same-length
+  words laid end to end in one call); one position by the letter loop
   (``local_period``, ``is_local_period``).  This is the reference route.
 * ``_extend_local_periods``: the trie step, which derives the local
   periods of w.a from those of w.  Only the walker of ``squarefree``
@@ -35,11 +36,12 @@ profile, for ``profile`` and for those checked runs.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import _check_profile_len
-from .errors import InvalidPeriod, InvalidPosition, TooShort
+from .errors import InvalidPeriod, InvalidPosition, RangeError, TooShort
 from .words import border_array
 
 
@@ -91,42 +93,66 @@ def local_period(w: str, p: int) -> int:
     return _least_local_period(w, p)
 
 
-def local_periods_scan(w: str) -> list[int]:
+def local_periods_scan(w: str, block: int | None = None) -> list[int]:
     """Minimal local periods at every position, reference route: the
     window predicate, for every position per q by bitmasks.
 
+    Without ``block``, ``w`` is one word of n = |w| letters.  With
+    ``block`` = n, ``w`` is read as |w|/n words of length n laid end to
+    end, and the result is their local periods, n-1 per word, word after
+    word, so one call checks a whole batch of same-length words.  Raises
+    TooShort for a word or block shorter than 2, and RangeError when |w|
+    is not a positive multiple of the block.
+
     Bit j of a letter's mask marks w[j] = that letter (0-based), so the
-    OR over all letters but one of mask ^ (mask >> q), cut to |w|-q bits,
-    is the set of mismatches j < |w|-q with w[j] != w[j+q]; a mismatch
-    shows in the masks of both its letters, so one mask can go.  A
+    OR over all letters but one of mask ^ (mask >> q) holds every
+    mismatch w[j] != w[j+q]; a mismatch shows in the masks of both its
+    letters, so one mask can go.  The cut keeps the offsets j < n-q of
+    each word, so it drops the pairs that cross into the next word.  A
     mismatch j lies in the window of q at p exactly when p-q <= j < p,
-    so the positions where q fails are that set shifted by 1..q, by
-    doubling shifts.  Every position still open outside them gets q.
-    The window is empty at q = |w|, so every position is settled there
-    at the latest.  Like ``local_period``, it tries every q from 1 at
-    every unsettled position and is kept free of shortcuts, so it can
-    serve as the oracle for the trie step and the direct route.
+    so the positions where q fails are the kept set shifted by 1..q, by
+    doubling shifts (in the manner of Shift-Or, Baeza-Yates and Gonnet,
+    CACM 1992); none reaches the next word.  Every position still open
+    outside them gets q.  The window is empty at q = n, so every
+    position is settled there at the latest.  Like ``local_period``, it
+    tries every q from 1 at every unsettled position and is kept free of
+    shortcuts, so it can serve as the oracle for the trie step and the
+    direct route.
     """
-    n = len(w)
+    size = len(w)
+    n = size if block is None else block
     if n < 2:
-        raise TooShort(f"need |w| >= 2, got {n}")
-    masks = {}
-    bit = 1
-    for c in w:
-        masks[c] = masks.get(c, 0) | bit
-        bit <<= 1
-    del masks[w[0]]
-    masks = masks.values()
-    cut = bit - 1
-    out = [0] * (n - 1)
-    todo = bit - 2  # bit p: position p is open, 1 <= p < |w|
+        what = "|w|" if block is None else "a block"
+        raise TooShort(f"need {what} >= 2, got {n}")
+    if not size or size % n:
+        raise RangeError(f"{size} letters are not a positive multiple of the block {n}")
+    # Bit k of a settled set becomes a field of 1, 2 or 4 bytes (q <= n
+    # must fit) holding 1: its binary digits, encoded one field each.
+    # Each position settles once, so q times each set sums without carry.
+    if n < 1 << 8:
+        encoding, code, field = "ascii", "B", 1
+    elif n < 1 << 16:
+        encoding, code, field = "utf-16-be", "H", 2
+    else:
+        encoding, code, field = "utf-32-be", "I", 4
+    rev = w[::-1]  # int(..., 2) reads its first digit as the top bit
+    letters = set(w)
+    zero = dict.fromkeys(map(ord, letters), "0")
+    letters.discard(w[0])
+    masks = [int(rev.translate({**zero, ord(c): "1"}), 2) for c in letters]
+    ones = ((1 << size) - 1) // ((1 << n) - 1)  # offset 0 of every word
+    cut = ones * ((1 << (n - 1)) - 1)  # offsets j < n-q of every word
+    todo = ones * ((1 << n) - 2)  # offset p: position p is open, 1 <= p < n
+    digits = f"0{size}b"
+    zeros = int.from_bytes(format(0, digits).encode(encoding), "big")
+    fields = 0
     q = 0
     while todo:
         q += 1
         mismatch = 0
         for e in masks:
             mismatch |= e ^ (e >> q)
-        fail = (mismatch & cut >> q) << 1
+        fail = (mismatch & cut) << 1
         width = 1  # fail holds the mismatches shifted by 1..width
         while 2 * width <= q:
             fail |= fail << width
@@ -134,12 +160,13 @@ def local_periods_scan(w: str) -> list[int]:
         if width < q:
             fail |= fail << (q - width)
         done = todo & ~fail
-        todo ^= done
-        while done:
-            low = done & -done
-            out[low.bit_length() - 2] = q
-            done ^= low
-    return out
+        if done:
+            todo ^= done
+            fields += q * (int.from_bytes(format(done, digits).encode(encoding), "big") - zeros)
+        cut &= cut >> 1
+    flat = list(struct.unpack(f"<{size}{code}", fields.to_bytes(size * field, "little")))
+    del flat[::n]  # offset 0 of each word is no position
+    return flat
 
 
 def _extend_local_periods(s: str, lp: list[int]) -> list[int]:

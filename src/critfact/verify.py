@@ -3,6 +3,8 @@
 Every local-period sequence behind a verdict or an exploration row
 comes from a fast route and meets the definitional scan in one place,
 ``_checked_profile``, which builds the profile only when they agree.
+Each checked word gets the scan of its own letters from ``_scanned``,
+which scans each slice of the words, length by length, in block calls.
 A suite reports a disagreement as a counterexample whatever it would
 have concluded; ``explore_problem2`` raises CritfactError.  The range
 suites and ``explore_problem2`` step local periods down the walk from
@@ -42,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, islice
 from multiprocessing import Pool
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .config import DEFAULT_LIMITS, _check_profile_len
 from .errors import CritfactError, RangeError, ResourceGuard
@@ -153,27 +155,52 @@ class _RoutesDisagree(CritfactError):
     """A fast route's local periods differ from the scan's."""
 
 
-def _checked_profile(w: str, lp: list[int]) -> PeriodProfile:
+def _checked_profile(w: str, lp: list[int], scan: list[int]) -> PeriodProfile:
     """The profile of ``w`` from ``lp``, its local periods by a fast
-    route, once the scan agrees with them; raises _RoutesDisagree
-    otherwise."""
-    scan = local_periods_scan(w)
+    route, once ``scan``, the scan of its own letters, agrees with them;
+    raises _RoutesDisagree otherwise."""
     if lp != scan:
         raise _RoutesDisagree(f"local-period routes disagree: trie={lp} scan={scan}")
     return _profile_of(w, lp)
 
 
+# Words per batch of ``_scanned``: enough to spread each scan call over
+# many words, few enough to keep a batch's periods small in memory.
+_SCAN_SLICE = 1024
+
+
+def _scanned(
+    words: Iterable[tuple[str, list[int] | None]]
+) -> Iterator[tuple[str, list[int] | None, list[int]]]:
+    """Each (word, local periods) pair of ``words`` in order, as
+    (word, local periods, scan), where the scan is that of the word's
+    own letters.  A slice of at most ``_SCAN_SLICE`` pairs is grouped by
+    length, and each group is scanned in one block call."""
+    pairs = iter(words)
+    while batch := list(islice(pairs, _SCAN_SLICE)):
+        groups: dict[int, list[str]] = {}
+        for w, _ in batch:
+            groups.setdefault(len(w), []).append(w)
+        scans = {}
+        for n, group in groups.items():
+            flat = local_periods_scan("".join(group), n)
+            scans[n] = iter([flat[i : i + n - 1] for i in range(0, len(flat), n - 1)])
+        for w, lp in batch:
+            yield w, lp, next(scans[len(w)])
+
+
 def _check_word(
-    w: str, ids: tuple[TheoremId, ...], lp: list[int] | None = None
+    w: str, ids: tuple[TheoremId, ...], lp: list[int] | None, scan: list[int]
 ) -> list[tuple[TheoremId, str, str]]:
     """Run the per-word predicates on ``lp``, the local periods of ``w``
     stepped down the trie, or on ``local_periods(w)`` when ``lp`` is
-    None; a disagreement with the scan fails them all."""
+    None; a disagreement with ``scan``, the scan of ``w``, fails them
+    all."""
     n = len(w)
     if lp is None:
         lp = local_periods(w)
     try:
-        prof = _checked_profile(w, lp)
+        prof = _checked_profile(w, lp, scan)
     except _RoutesDisagree as exc:
         return [(tid, w, str(exc)) for tid in ids]
     per, crit, mid = prof.period, prof.critical_points, prof.midpoint
@@ -212,10 +239,14 @@ def _check_word(
                     (tid, w, f"square-free={sf} but every-point-overflow={all_overflow}")
                 )
         elif tid is TheoremId.MIN_REP_UNBORDERED:
+            # the shortest border of a bordered word is unbordered, so it
+            # is at most half as long
             for p in range(1, n):
                 u = _repetition_word(w, p, lp[p - 1])
-                if border_array(u)[-1] != 0:
-                    issues.append((tid, w, f"repetition word {u!r} at p={p} is bordered"))
+                for k in range(1, len(u) // 2 + 1):
+                    if u[:k] == u[-k:]:
+                        issues.append((tid, w, f"repetition word {u!r} at p={p} is bordered"))
+                        break
         elif tid is TheoremId.NO_SELF_OVERLAP:
             factors = {w[i:j] for i in range(n) for j in range(i + 1, n + 1)}
             for x in sorted(factors):
@@ -271,9 +302,9 @@ def _check_words(
     issues ``_check_word`` found."""
     tested = 0
     found: list[tuple[TheoremId, str, str]] = []
-    for w, lp in words:
+    for w, lp, scan in _scanned(words):
         tested += 1
-        found.extend(_check_word(w, ids, lp))
+        found.extend(_check_word(w, ids, lp, scan))
     return tested, found
 
 
@@ -373,6 +404,10 @@ def verify_many(
         raise RangeError(f"need 2 <= min <= max, got {min_len}..{max_len}")
     if TheoremId.UPPER_BOUND in ids and min_len < 26:
         raise RangeError("the upper-bound suite needs min length >= 26")
+    if TheoremId.UPPER_BOUND in ids and len(opts.alphabet) != 3:
+        raise RangeError(
+            f"the upper-bound suite is stated for three letters, got {opts.alphabet!r}"
+        )
     if opts.random_count < 0:
         raise RangeError(f"need random_count >= 0, got {opts.random_count}")
     if opts.random_count and not 2 <= opts.random_min <= opts.random_max:
@@ -583,10 +618,10 @@ def explore_problem2(len_max: int) -> dict:
         for w, lp in _walk(a, 4, len_max, TERNARY, extend_square_free, [])
         if len(w) % 4 == 0
     )
-    for w, lp in walk:
+    for w, lp, scan in _scanned(walk):
         row = rows[len(w)]
         row["tested"] += 1
-        excess = _checked_profile(w, lp).eta - len(w) // 4
+        excess = _checked_profile(w, lp, scan).eta - len(w) // 4
         if row["minExcess"] is None or excess < row["minExcess"]:
             row["minExcess"] = excess
             row["witnesses"] = [w] if excess == 0 else []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from critfact import (
     InvalidPeriod,
     InvalidPosition,
+    RangeError,
     TooShort,
     beta_n,
     construct_wx,
@@ -122,11 +123,49 @@ def _per_position_scan(w):
 
 def test_bulk_scan_equals_per_position_scan_exhaustively():
     # the bulk scan keeps one mask per letter, so a non-digit alphabet
-    # and alphabets of one to four letters are covered
+    # and alphabets of one to four letters are covered; the block form
+    # scans every word of a length in one call
     for alphabet, max_len in (("012", 9), ("01", 13), ("0123", 7), ("xyz", 7), ("a", 6)):
         for n in range(2, max_len + 1):
-            for w in all_words(n, alphabet):
-                assert local_periods_scan(w) == _per_position_scan(w), w
+            words = list(all_words(n, alphabet))
+            wanted = []
+            for w in words:
+                lp = _per_position_scan(w)
+                assert local_periods_scan(w) == lp, w
+                wanted.extend(lp)
+            assert local_periods_scan("".join(words), n) == wanted, (alphabet, n)
+
+
+@pytest.mark.parametrize("n", [255, 256, 300, 700])
+def test_block_scan_across_the_field_widths(n):
+    # a block of n < 256 letters keeps each q in one byte, up to 65535
+    # in two; per(w, p) = n at some positions of an unbordered word
+    rng = random.Random(n)
+    words = ["".join(rng.choice("012") for _ in range(n)) for _ in range(3)]
+    words += ["0" * n, ("01" * n)[:n], "0" * (n - 1) + "1"]
+    wanted = [q for w in words for q in _per_position_scan(w)]
+    assert n in wanted
+    assert local_periods_scan("".join(words), n) == wanted
+
+
+def test_block_scan_of_words_past_two_byte_fields():
+    n = 70000
+    lp = local_periods_scan("0" * n + "01" * (n // 2), n)
+    assert len(lp) == 2 * (n - 1)
+    for p in (1, 2, 3, 1000, 34999, 35000, 65535, 65536, n - 1):
+        assert lp[p - 1] == local_period("0" * n, p) == 1
+        assert lp[n - 1 + p - 1] == local_period("01" * (n // 2), p) == 2
+
+
+def test_block_scan_errors():
+    for block in (1, 0, -2):
+        with pytest.raises(TooShort):
+            local_periods_scan("0101", block)
+    with pytest.raises(TooShort):
+        local_periods_scan("0")
+    for w, block in (("01201", 2), ("", 2), ("012", 4)):
+        with pytest.raises(RangeError):
+            local_periods_scan(w, block)
 
 
 def test_bulk_scan_equals_per_position_scan_on_long_words():

@@ -19,9 +19,12 @@ from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods_scan
 from critfact.squarefree import count_square_free, find_square, is_square_free, square_free_words
 from critfact.thue import x_n
-from critfact.verify import _check_word
+from critfact.verify import _check_words
+
+from conftest import all_words
 
 import importlib
+import json
 import random
 import re
 import time
@@ -185,16 +188,16 @@ def test_jobs_do_not_change_reports():
 def test_check_word_flags_violations():
     # the interval predicate really fires on a word whose critical set
     # has gaps (a non-square-free word, so no theorem is contradicted)
-    issues = _check_word(EX1, (TheoremId.INTERVAL,))
+    _, issues = _check_words([(EX1, None)], (TheoremId.INTERVAL,))
     assert issues == [
         (TheoremId.INTERVAL, EX1, "critical points not an interval: [7, 8, 11, 12]")
     ]
     # and stays quiet on a word where the set is an interval
-    assert _check_word("01020120210201021", (TheoremId.INTERVAL,)) == []
+    assert _check_words([("01020120210201021", None)], (TheoremId.INTERVAL,)) == (1, [])
 
 
 def test_check_word_unimodal_flags_example1():
-    issues = _check_word(EX1, (TheoremId.UNIMODAL,))
+    _, issues = _check_words([(EX1, None)], (TheoremId.UNIMODAL,))
     assert issues == [(TheoremId.UNIMODAL, EX1, f"local periods not unimodal: {EX1_LP}")]
 
 
@@ -202,7 +205,7 @@ def test_check_word_route_disagreement_fails_every_predicate(monkeypatch):
     monkeypatch.setattr(verify_module, "local_periods", lambda w: [1] * (len(w) - 1))
     ids = (TheoremId.CFT, TheoremId.MIDPOINT)
     detail = f"local-period routes disagree: trie={[1] * 18} scan={EX1_LP}"
-    assert _check_word(EX1, ids) == [(tid, EX1, detail) for tid in ids]
+    assert _check_words([(EX1, None)], ids) == (1, [(tid, EX1, detail) for tid in ids])
 
 
 def test_scan_guards_the_trie_step(monkeypatch):
@@ -284,6 +287,26 @@ def test_upper_bound_with_random_extension():
     assert report.verdict == "PASS"
     assert report.range["randomCount"] == 50
     assert report.tested > 50
+
+
+@pytest.mark.parametrize("alphabet", ["0", "01", "0123"])
+def test_upper_bound_is_ternary_only(monkeypatch, alphabet):
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    with pytest.raises(RangeError, match="three letters"):
+        verify(TheoremId.UPPER_BOUND, 26, 26, VerifyOptions(alphabet=alphabet))
+
+
+def test_rep_unbordered_flags_bordered_repetition_words(monkeypatch):
+    # bordered by its half, unbordered, bordered by one letter
+    reps = {1: "0101", 2: "0112", 3: "2102"}
+    monkeypatch.setattr(verify_module, "_repetition_word", lambda w, p, q: reps[p])
+    report = verify(TheoremId.MIN_REP_UNBORDERED, 4, 4)
+    assert report.tested == 81
+    assert report.counterexamples == sorted(
+        (w, f"repetition word {reps[p]!r} at p={p} is bordered")
+        for w in all_words(4)
+        for p in (1, 3)
+    )
 
 
 def test_random_extension_rejects_negative_count():
@@ -416,6 +439,58 @@ def test_scan_guards_the_problem2_walk(monkeypatch):
     detail = f"local-period routes disagree: trie={wrong} scan={scan}"
     with pytest.raises(CritfactError, match=re.escape(detail)):
         explore_problem2(8)
+
+
+def _report_docs(reports):
+    return [json.dumps({k: v for k, v in r.to_json_dict().items() if k != "elapsedMs"}) for r in reports]
+
+
+def test_scan_slices_do_not_change_reports(monkeypatch):
+    sf_ids = [TheoremId.MIDPOINT, TheoremId.UNIMODAL, TheoremId.INTERVAL, TheoremId.LOWER_BOUND]
+    all_ids = [TheoremId.CFT, TheoremId.MIN_REP_UNBORDERED, TheoremId.OVERFLOW_IFF_SQUAREFREE]
+    random_opts = VerifyOptions(random_count=40, random_min=5, random_max=30, seed=3)
+
+    def run():
+        return (
+            _report_docs(verify_many(sf_ids, 2, 14))
+            + _report_docs(verify_many(sf_ids, 2, 8, random_opts))
+            + _report_docs(verify_many(all_ids, 2, 7))
+            + [json.dumps(explore_problem2(16))]
+        )
+
+    default = run()
+    for size in (1, 7):
+        monkeypatch.setattr(verify_module, "_SCAN_SLICE", size)
+        assert run() == default
+
+
+@pytest.mark.parametrize("size", [1, 7, None])
+def test_scan_slices_hand_each_word_its_own_scan(monkeypatch, size):
+    if size is not None:
+        monkeypatch.setattr(verify_module, "_SCAN_SLICE", size)
+    step = squarefree_module._extend_local_periods
+    bad = sorted(square_free_words(12))[150]  # one of 264 words of length 12
+
+    def one_wrong_value(w, lp):
+        out = step(w, lp)
+        if w == bad:
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(squarefree_module, "_extend_local_periods", one_wrong_value)
+    report = verify(TheoremId.MIDPOINT, 2, 14)
+    # the word and every descendant inherit the wrong value at position 1
+    family = sorted(w for n in (12, 13, 14) for w in square_free_words(n) if w.startswith(bad))
+    assert len(family) == 3
+    assert [w for w, _ in report.counterexamples] == family
+    for w, detail in report.counterexamples:
+        scan = local_periods_scan(w)
+        trie = [scan[0] + 1] + scan[1:]
+        assert detail == f"local-period routes disagree: trie={trie} scan={scan}"
+    scan = local_periods_scan(bad)
+    detail = f"local-period routes disagree: trie={[scan[0] + 1] + scan[1:]} scan={scan}"
+    with pytest.raises(CritfactError, match=re.escape(detail)):
+        explore_problem2(16)
 
 
 def test_checked_runs_scan_every_position_at_once(monkeypatch):
