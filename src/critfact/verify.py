@@ -2,14 +2,13 @@
 
 Every local-period sequence behind a verdict or an exploration row
 comes from a fast route and meets the definitional scan in one place,
-``_checked_profile``, which builds the profile only when they agree.
-Each checked word gets the scan of its own letters from ``_scanned``,
-which scans each slice of the words, length by length, in block calls.
-A suite reports a disagreement as a counterexample whatever it would
-have concluded; ``explore_problem2`` raises CritfactError.  The range
-suites and ``explore_problem2`` step local periods down the walk from
-each word's parent with the trie step; chunk prefixes, family words and
-random words take ``local_periods``, the direct route for one word.
+``_checked``, which scans each slice of the words, length by length, in
+block calls and builds a word's profile only when the two agree.  A
+suite reports a disagreement as a counterexample whatever it would have
+concluded; ``explore_problem2`` raises CritfactError.  Walked words step
+local periods down from their parent's with the trie step; chunk
+prefixes, family words and random words take ``local_periods``, the
+direct route for one word.
 
 Range suites (``verify`` / ``verify_many``) walk a word universe
 determined by the theorem:
@@ -19,19 +18,19 @@ determined by the theorem:
     no-overlap, upper-bound,
     lower-bound                      square-free words only
 
-Every walk, including the 01-constrained search of
-``verify_alpha_extremal``, runs the one depth-first walker of
-``squarefree``; the all-words universe runs it with no letter test.
-``_check_word`` runs the per-word predicates of the range suites and of
-``verify_beta_eta`` and ``verify_wx_density``, whose predicates depend
-on the word alone; ``_report`` builds every report.
+They and ``explore_problem2`` run one engine, ``_run_universe``: it
+counts the universe length by length against the word ceiling, walks
+it in chunks, one per word prefix, serially or across worker processes,
+and folds each chunk; the caller merges the folds in prefix order, so
+its result does not depend on the worker count.  Every walk, including
+the 01-constrained search of ``verify_alpha_extremal``, runs the one
+depth-first walker of ``squarefree``; the all-words universe runs it
+with no letter test.  ``_check_word`` runs the per-word predicates of
+the range suites and of ``verify_beta_eta`` and ``verify_wx_density``,
+whose predicates depend on the word alone; ``_report`` builds every
+report.
 
-Runs can be partitioned by word prefix across worker processes; merged
-reports are independent of the worker count (counts are summed and
-counterexamples re-sorted lexicographically by word).
-
-The family suites (``verify_alpha_extremal``, ``verify_beta_eta``,
-``verify_wx_density``) and the two exploration searches live here too.
+The family suites and ``explore_problem1`` live here too.
 """
 
 from __future__ import annotations
@@ -151,32 +150,20 @@ class VerificationReport:
         }
 
 
-class _RoutesDisagree(CritfactError):
-    """A fast route's local periods differ from the scan's."""
-
-
-def _checked_profile(w: str, lp: list[int], scan: list[int]) -> PeriodProfile:
-    """The profile of ``w`` from ``lp``, its local periods by a fast
-    route, once ``scan``, the scan of its own letters, agrees with them;
-    raises _RoutesDisagree otherwise."""
-    if lp != scan:
-        raise _RoutesDisagree(f"local-period routes disagree: trie={lp} scan={scan}")
-    return _profile_of(w, lp)
-
-
-# Words per batch of ``_scanned``: enough to spread each scan call over
+# Words per batch of ``_checked``: enough to spread each scan call over
 # many words, few enough to keep a batch's periods small in memory.
 _SCAN_SLICE = 1024
 
 
-def _scanned(
-    words: Iterable[tuple[str, list[int] | None]]
-) -> Iterator[tuple[str, list[int] | None, list[int]]]:
-    """Each (word, local periods) pair of ``words`` in order, as
-    (word, local periods, scan), where the scan is that of the word's
-    own letters.  A slice of at most ``_SCAN_SLICE`` pairs is grouped by
-    length, and each group is scanned in one block call."""
-    pairs = iter(words)
+def _checked(
+    pairs: Iterable[tuple[str, list[int] | None]]
+) -> Iterator[tuple[str, PeriodProfile | None, str]]:
+    """Each (word, local periods or None for ``local_periods(word)``)
+    pair in order, as (word, profile, "") when the periods agree with the
+    scan of the word, else as (word, None, detail).  A slice of at most
+    ``_SCAN_SLICE`` pairs is grouped by length, each group scanned in one
+    block call."""
+    pairs = iter(pairs)
     while batch := list(islice(pairs, _SCAN_SLICE)):
         groups: dict[int, list[str]] = {}
         for w, _ in batch:
@@ -186,24 +173,25 @@ def _scanned(
             flat = local_periods_scan("".join(group), n)
             scans[n] = iter([flat[i : i + n - 1] for i in range(0, len(flat), n - 1)])
         for w, lp in batch:
-            yield w, lp, next(scans[len(w)])
+            scan = next(scans[len(w)])
+            if lp is None:
+                lp = local_periods(w)
+            if lp == scan:
+                yield w, _profile_of(w, lp), ""
+            else:
+                yield w, None, f"local-period routes disagree: trie={lp} scan={scan}"
 
 
 def _check_word(
-    w: str, ids: tuple[TheoremId, ...], lp: list[int] | None, scan: list[int]
+    w: str, ids: tuple[TheoremId, ...], prof: PeriodProfile | None, detail: str
 ) -> list[tuple[TheoremId, str, str]]:
-    """Run the per-word predicates on ``lp``, the local periods of ``w``
-    stepped down the trie, or on ``local_periods(w)`` when ``lp`` is
-    None; a disagreement with ``scan``, the scan of ``w``, fails them
+    """Run the per-word predicates on ``prof``, the checked profile of
+    ``w``; without one, the routes disagreed and ``detail`` fails them
     all."""
+    if prof is None:
+        return [(tid, w, detail) for tid in ids]
     n = len(w)
-    if lp is None:
-        lp = local_periods(w)
-    try:
-        prof = _checked_profile(w, lp, scan)
-    except _RoutesDisagree as exc:
-        return [(tid, w, str(exc)) for tid in ids]
-    per, crit, mid = prof.period, prof.critical_points, prof.midpoint
+    lp, per, crit, mid = prof.local_periods, prof.period, prof.critical_points, prof.midpoint
     issues = []
     for tid in ids:
         if tid is TheoremId.CFT:
@@ -220,7 +208,7 @@ def _check_word(
                 )
         elif tid is TheoremId.UNIMODAL:
             if not is_unimodal(prof):
-                issues.append((tid, w, f"local periods not unimodal: {lp}"))
+                issues.append((tid, w, f"local periods not unimodal: {list(lp)}"))
         elif tid is TheoremId.INTERVAL:
             interval = critical_interval(prof)
             if interval is None:
@@ -302,28 +290,27 @@ def _check_words(
     issues ``_check_word`` found."""
     tested = 0
     found: list[tuple[TheoremId, str, str]] = []
-    for w, lp, scan in _scanned(words):
+    for w, prof, detail in _checked(words):
         tested += 1
-        found.extend(_check_word(w, ids, lp, scan))
+        found.extend(_check_word(w, ids, prof, detail))
     return tested, found
 
 
-def _run_chunk(payload) -> tuple[int, list[tuple[TheoremId, str, str]]]:
-    """Check the chunk's prefix with ``local_periods(prefix)``, and every
-    longer word with the local periods the walk steps down from them."""
-    ids, universe, alphabet, min_len, max_len, prefix = payload
+def _run_chunk(payload):
+    """``fold(walk, arg)`` of the walk below ``prefix``, seeded with
+    ``local_periods(prefix)`` and stepped down the trie from there."""
+    fold, arg, universe, alphabet, min_len, max_len, prefix = payload
     walk = _walk(prefix, min_len, max_len, alphabet, _ACCEPT[universe], local_periods(prefix))
-    return _check_words(walk, ids)
+    return fold(walk, arg)
 
 
-def _count_universe(
-    universe: str, alphabet: str, min_len: int, max_len: int, ceiling: int, extra: int
-) -> int:
+def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, extra: int) -> int:
     """Words to test: ``extra`` plus the universe, added up length by
     length (k^n words over k letters, or the square-free ones as
     ``_counts_by_length`` grows them).  Raises ResourceGuard the moment
-    the total passes the ceiling, so it counts no further and names a
-    total of bounded size."""
+    the total passes the word ceiling, ``CRITFACT_MAX_WORDS``, so it
+    counts no further and names a total of bounded size."""
+    ceiling = DEFAULT_LIMITS.max_words
     if _ACCEPT[universe] is None:
         # past the ceiling's bit length k^n exceeds it for any k >= 2
         cap = ceiling.bit_length()
@@ -336,6 +323,26 @@ def _count_universe(
         if total > ceiling:
             raise ResourceGuard(f"at least {total} words to test exceed the ceiling {ceiling}")
     return total
+
+
+def _run_universe(fold, arg, universe, alphabet, min_len, max_len, jobs=1, extra=0) -> list:
+    """``fold(walk, arg)`` of each chunk, the walk below one prefix of
+    length min(3, ``min_len``), in prefix order.  First the universe's
+    words of lengths ``min_len``..``max_len``, plus ``extra``, are held
+    to the word ceiling and ``max_len`` to the profile ceiling.  Chunks
+    run on a pool of at most ``jobs`` processes."""
+    _count_universe(universe, alphabet, min_len, max_len, extra)
+    # every word is profiled; a square-free count walk has raised this already
+    _check_profile_len(max_len, "max length")
+
+    depth = min(3, min_len)
+    prefixes = _walk("", depth, depth, alphabet, _ACCEPT[universe])
+    chunks = [(fold, arg, universe, alphabet, min_len, max_len, pre) for pre in prefixes]
+    jobs = min(jobs, len(chunks), os.cpu_count() or 1)
+    if jobs > 1:
+        with Pool(jobs) as pool:
+            return pool.map(_run_chunk, chunks)
+    return [_run_chunk(c) for c in chunks]
 
 
 def random_square_free(length: int, rng: random.Random, alphabet: str = TERNARY) -> str:
@@ -418,22 +425,9 @@ def verify_many(
         _check_profile_len(opts.random_max, "random_max")  # random words are profiled too
 
     start = time.perf_counter()
-    ceiling = DEFAULT_LIMITS.max_words
-    _count_universe(universe, opts.alphabet, min_len, max_len, ceiling, opts.random_count)
-    # every word is profiled; a square-free count walk has raised this already
-    _check_profile_len(max_len, "max length")
-
-    depth = min(3, min_len)
-    prefixes = list(_walk("", depth, depth, opts.alphabet, _ACCEPT[universe]))
-    chunks = [(ids, universe, opts.alphabet, min_len, max_len, pre) for pre in prefixes]
-
-    jobs = min(opts.jobs, len(chunks), os.cpu_count() or 1)
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            parts = pool.map(_run_chunk, chunks)
-    else:
-        parts = [_run_chunk(c) for c in chunks]
-
+    parts = _run_universe(
+        _check_words, ids, universe, opts.alphabet, min_len, max_len, opts.jobs, opts.random_count
+    )
     range_desc: dict = {
         "minLen": min_len,
         "maxLen": max_len,
@@ -595,10 +589,26 @@ def explore_problem1(len_min: int, len_max: int) -> dict:
     return {"problem": "problem1", "note": _PROBLEM1_NOTE, "lengths": rows}
 
 
+def _problem2_fold(walk, _) -> dict:
+    """For each length divisible by 4 in the walk: the words tested, the
+    least eta(w) - |w|/4 and the words where it is 0, in walk order."""
+    rows: dict[int, list] = {}
+    for w, prof, detail in _checked((w, lp) for w, lp in walk if len(w) % 4 == 0):
+        if prof is None:
+            raise CritfactError(detail)
+        excess = prof.eta - len(w) // 4
+        row = rows.setdefault(len(w), [0, excess, []])
+        row[0] += 1
+        row[1] = min(row[1], excess)
+        if excess == 0:
+            row[2].append(w)
+    return rows
+
+
 def explore_problem2(len_max: int) -> dict:
     """Per-length minima of eta(w) - |w|/4 over square-free words with
-    length divisible by 4, plus any exact-equality witnesses, from one
-    walk that steps local periods down the trie; the scan checks them on
+    length divisible by 4, plus every word where it is 0, from one walk
+    that steps local periods down the trie; the scan checks them on
     every word reported, and a disagreement raises CritfactError.
 
     Before the walk, the square-free words of lengths 4..``len_max`` are
@@ -607,24 +617,14 @@ def explore_problem2(len_max: int) -> dict:
     ceiling, ``CRITFACT_MAX_PROFILE_LEN``."""
     if len_max < 4:
         raise RangeError(f"need len_max >= 4, got {len_max}")
-    _count_universe("square-free", TERNARY, 4, len_max, DEFAULT_LIMITS.max_words, 0)
     rows = {
         length: {"length": length, "minExcess": None, "witnesses": [], "tested": 0}
         for length in range(4, len_max + 1, 4)
     }
-    walk = (
-        (w, lp)
-        for a in TERNARY  # a single letter has no positions, so no local periods
-        for w, lp in _walk(a, 4, len_max, TERNARY, extend_square_free, [])
-        if len(w) % 4 == 0
-    )
-    for w, lp, scan in _scanned(walk):
-        row = rows[len(w)]
-        row["tested"] += 1
-        excess = _checked_profile(w, lp, scan).eta - len(w) // 4
-        if row["minExcess"] is None or excess < row["minExcess"]:
-            row["minExcess"] = excess
-            row["witnesses"] = [w] if excess == 0 else []
-        elif excess == 0:
-            row["witnesses"].append(w)
+    for part in _run_universe(_problem2_fold, None, "square-free", TERNARY, 4, len_max):
+        for length, (tested, least, witnesses) in part.items():
+            row = rows[length]
+            row["tested"] += tested
+            row["minExcess"] = least if row["minExcess"] is None else min(row["minExcess"], least)
+            row["witnesses"] += witnesses
     return {"problem": "problem2", "lengths": list(rows.values())}

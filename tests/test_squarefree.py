@@ -229,7 +229,7 @@ def test_bare_walks_run_no_trie_step(monkeypatch, capsys):
     monkeypatch.setattr(squarefree_module, "_extend_local_periods", refuse)
     assert count_square_free(12) == 264
     assert sum(1 for _ in _walk("", 0, 8, "012")) == sum(3**n for n in range(9))
-    assert _count_universe("square-free", "012", 2, 14, 10**6, 0) == 1764
+    assert _count_universe("square-free", "012", 2, 14, 0) == 1764
     assert verify_alpha_extremal().verdict == "PASS"
     assert run(["enumerate", "--n", "10", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "144"

@@ -23,6 +23,7 @@ from critfact.verify import _check_words
 
 from conftest import all_words
 
+import dataclasses
 import importlib
 import json
 import random
@@ -513,6 +514,46 @@ def test_problem2_keeps_its_cumulative_word_ceiling(monkeypatch):
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "227")
     with pytest.raises(ResourceGuard, match="^at least 228 words to test exceed the ceiling 227$"):
         explore_problem2(8)
+
+
+def test_problem2_keeps_every_exact_witness_whatever_the_minimum(monkeypatch):
+    # excess 0 on 01210120, 01210212 and 12102012, -1 on 01210201 and
+    # 02101210: each witness stays, in walk order, whether it is walked
+    # before or after a lower excess, in its own chunk or another
+    real = verify_module._profile_of
+    eta = {"01210120": 2, "01210201": 1, "01210212": 2, "02101210": 1, "12102012": 2}
+
+    def patched(w, lp):
+        prof = real(w, lp)
+        return dataclasses.replace(prof, eta=eta[w]) if w in eta else prof
+
+    monkeypatch.setattr(verify_module, "_profile_of", patched)
+    row = explore_problem2(8)["lengths"][1]
+    assert (row["length"], row["tested"], row["minExcess"]) == (8, 78, -1)
+    assert row["witnesses"] == ["01210120", "01210212", "12102012"]
+
+
+def test_problem2_refused_by_the_word_ceiling_runs_no_chunk(monkeypatch):
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "227")
+    with pytest.raises(ResourceGuard, match="^at least 228 words to test exceed the ceiling 227$"):
+        explore_problem2(8)
+    monkeypatch.delenv("CRITFACT_MAX_WORDS")
+    with pytest.raises(ResourceGuard, match="^max length 5001 exceeds the profile ceiling 5000$"):
+        explore_problem2(5001)
+
+
+def test_problem2_walks_the_depth_3_prefixes_in_order(monkeypatch):
+    run_chunk = verify_module._run_chunk
+    prefixes = []
+
+    def recording(payload):
+        prefixes.append(payload[-1])
+        return run_chunk(payload)
+
+    monkeypatch.setattr(verify_module, "_run_chunk", recording)
+    assert [row["tested"] for row in explore_problem2(8)["lengths"]] == [18, 78]
+    assert prefixes == sorted(square_free_words(3)) and len(prefixes) == 12
 
 
 def test_problem2_counts_to_the_first_length_past_the_ceiling(monkeypatch):
