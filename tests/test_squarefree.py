@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,7 +88,8 @@ def test_leech_prefixes_are_square_free():
 
 
 def _cuts(lo, hi, depth):
-    """The cuts has_square makes in w[lo:hi], down to ``depth`` levels."""
+    """The midpoints of w[lo:hi] and of its halves, ``depth`` levels
+    down: plant positions spread over the word at every scale."""
     if depth == 0 or hi - lo < 2:
         return []
     h = lo + (hi - lo) // 2
@@ -99,14 +102,59 @@ def test_planted_squares_are_found_in_long_words(base):
     for r in (1, 2, 9, 64, 333):
         v = base[7 * r : 8 * r]
         n = len(base) + 2 * r
-        # the square starts at p; the cut lies d letters into it, in its
-        # first half, at its centre or in its second half
+        # the square starts at p; a midpoint lies d letters into it, in
+        # its first half, at its centre or in its second half
         starts = {0, len(base)}
         for c in _cuts(0, n, 3):
             starts.update(c - d for d in (max(1, r // 2), r, min(2 * r - 1, r + r // 2 + 1)))
         for p in starts:
             w = base[:p] + v + v + base[p:]
             assert has_square(w), (r, p)
+
+
+def test_block_levels_match_find_square_exhaustively(monkeypatch):
+    # the regex takes root 1 only and the block levels start at s = 1,
+    # so every other root of these short words goes through the blocks
+    monkeypatch.setattr(squarefree_module, "_BLOCK", 1)
+    monkeypatch.setattr(squarefree_module, "_SHORT_SQUARE", re.compile(r"(.)\1", re.S))
+    for n in range(0, 12):
+        for w in all_words(n):
+            assert has_square(w) == (find_square(w) is not None), w
+    for n in range(0, 15):
+        for w in all_words(n, "01"):
+            assert has_square(w) == (find_square(w) is not None), w
+
+
+def _level(r):
+    """The block length s whose level takes root r (r in [2s, 4s)); the
+    shortest level's block for the regex's roots."""
+    s = squarefree_module._BLOCK
+    while 4 * s <= r:
+        s += s
+    return s
+
+
+@pytest.mark.parametrize("base", [m_prefix(2400)[2000:], leech_prefix(700)[300:]], ids=["m", "leech"])
+@pytest.mark.parametrize("r", [15, 16, 31, 32, 63, 64, 127, 128])
+def test_planted_squares_at_the_level_boundaries(base, r):
+    # The root v = 3.y.4 holds a factor y of the base between two letters
+    # the base lacks, so the planted vv is the word's only square and
+    # starts exactly at i: 0, 1 and s-1 mod the block length s of root
+    # r's level, inside the base and flush with the last letter.  With
+    # the second v's first or last letter changed to 5 the word is
+    # square-free, and so is its mirror image.
+    assert find_square(base) is None
+    s = _level(r)
+    for i in (3 * s, 3 * s + 1, 4 * s - 1):
+        y = base[i + 1 : i + r - 1]
+        v = "3" + y + "4"
+        for tail in (base[i + r :], ""):
+            w = base[:i] + v + v + tail
+            assert has_square(w) and find_square(w) == SquareOccurrence(i + 1, v), (r, i)
+            for u in ("5" + y + "4", "3" + y + "5"):
+                w = base[:i] + v + u + tail
+                assert not has_square(w) and find_square(w) is None, (r, i, u)
+                assert not has_square(w[::-1]), (r, i, u)
 
 
 M3000 = m_prefix(3000)
