@@ -30,8 +30,11 @@ The minimal local period is computed by three routes:
 The scan shares no code with the two fast routes, and all three must
 agree everywhere; the verification suites and ``explore problem2``
 recompute the scan beside the fast route and treat any disagreement as
-a failure of the run itself.  One builder turns local periods into a
-profile, for ``profile`` and for those checked runs.
+a failure of the run itself.  Only ``profile`` builds a
+``PeriodProfile``; the checked runs read the local periods and per(w)
+directly, and share the critical points, the unimodality test and the
+critical interval with the profile through ``_critical_points``,
+``_is_unimodal`` and ``_critical_interval``.
 """
 
 from __future__ import annotations
@@ -344,18 +347,24 @@ def profile(w: str) -> PeriodProfile:
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
     _check_profile_len(n, "|w| =")
-    return _profile_of(w, local_periods(w))
-
-
-def _profile_of(w: str, lp: list[int]) -> PeriodProfile:
-    """The profile of ``w`` (|w| >= 2) from its local periods ``lp``,
-    with no length ceiling."""
-    n = len(w)
+    lp = local_periods(w)
     per = n - border_array(w)[-1]
-    # positional fields and a list comprehension: the universes build one
-    # profile per word, and keyword init of the frozen class costs more
-    crit = tuple([p for p, q in enumerate(lp, 1) if q == per])
+    crit = tuple(_critical_points(lp, per))
     return PeriodProfile(w, per, tuple(lp), crit, len(crit), (n + 1) // 2)
+
+
+def _critical_points(lp, per: int) -> list[int]:
+    """The positions p, in increasing order, whose local period
+    ``lp[p-1]`` equals the global period ``per``."""
+    return [p for p, q in enumerate(lp, 1) if q == per]
+
+
+def _critical_interval(crit) -> tuple[int, int] | None:
+    """Endpoints of the increasing positions ``crit`` when they form a
+    nonempty interval, else None."""
+    if crit and crit[-1] - crit[0] + 1 == len(crit):
+        return crit[0], crit[-1]
+    return None
 
 
 def critical_interval(prof: PeriodProfile) -> tuple[int, int] | None:
@@ -363,21 +372,12 @@ def critical_interval(prof: PeriodProfile) -> tuple[int, int] | None:
     interval, else None.  Square-free ternary words always yield an
     interval; arbitrary words need not.
     """
-    cp = prof.critical_points
-    if not cp:
-        return None
-    if cp[-1] - cp[0] + 1 == len(cp):
-        return cp[0], cp[-1]
-    return None
+    return _critical_interval(prof.critical_points)
 
 
-def is_unimodal(prof: PeriodProfile) -> bool:
-    """Whether the local periods rise up to the midpoint and fall after:
-    per(w, p-1) <= per(w, p) for 2 <= p <= M(w) and
-    per(w, p) <= per(w, p-1) for M(w) < p <= |w|-1.
-    """
-    lp = prof.local_periods
-    m = prof.midpoint
+def _is_unimodal(lp, m: int) -> bool:
+    """Whether the local periods ``lp`` rise up to position ``m`` and
+    fall after it."""
     for p in range(2, m + 1):
         if lp[p - 2] > lp[p - 1]:
             return False
@@ -385,6 +385,14 @@ def is_unimodal(prof: PeriodProfile) -> bool:
         if lp[p - 1] > lp[p - 2]:
             return False
     return True
+
+
+def is_unimodal(prof: PeriodProfile) -> bool:
+    """Whether the local periods rise up to the midpoint and fall after:
+    per(w, p-1) <= per(w, p) for 2 <= p <= M(w) and
+    per(w, p) <= per(w, p-1) for M(w) < p <= |w|-1.
+    """
+    return _is_unimodal(prof.local_periods, prof.midpoint)
 
 
 def profile_json_dict(prof: PeriodProfile) -> dict:

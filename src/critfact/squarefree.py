@@ -17,7 +17,9 @@ has none.  Two detection routes are kept deliberately independent:
 
 One depth-first walker enumerates words; ``square_free_range`` and
 ``square_free_words`` run it with ``extend_square_free`` as letter test.
-On request it also carries each word's local periods down the trie.
+On request it also carries each word's local periods and its global
+period per(w) down the trie, so the range suites check a walked word
+from the walk's own state.
 
 Counts go breadth first instead: ``_counts_by_length`` grows each
 length's square-free words from the previous length's, so every
@@ -35,7 +37,7 @@ from typing import Callable, Iterator
 from .config import DEFAULT_LIMITS, _check_profile_len
 from .errors import EmptyFactor, RangeError, ResourceGuard
 from .periods import _extend_local_periods
-from .words import TERNARY
+from .words import TERNARY, border_array
 
 # find_square stays the canonical route below this length; has_square
 # takes over where the quadratic scan gets slow.
@@ -159,21 +161,44 @@ def _walk(
     walked.  Iterative, so the depth is not bounded by recursion.
 
     Given ``lp``, the local periods of a nonempty ``prefix``, it yields
-    ``(w, local periods of w)`` pairs instead: each stack entry carries
-    its word's periods, stepped from its parent's by
-    ``periods._extend_local_periods``.  Without ``lp`` no step runs.
+    ``(w, local periods of w, per(w))`` triples instead.  Each stack
+    entry carries its word's periods, stepped from its parent's by
+    ``periods._extend_local_periods``, and the longest border of its
+    word, found by one Knuth-Morris-Pratt failure step from the border
+    array of the path down to its parent.  That array is shared by the
+    whole walk and seeded with ``border_array(prefix)``: every entry on
+    the stack extends a word on the current path, so when it is popped
+    the array holds its parent's borders, and it writes its own over
+    those of the last subtree walked.  Without ``lp`` no step runs.
     """
+    if lp is None:
+        stack = [prefix]
+        while stack:
+            w = stack.pop()
+            if len(w) >= min_len:
+                yield w
+            if len(w) < max_len:
+                for a in reversed(alphabet):
+                    if accept is None or accept(w, a):
+                        stack.append(w + a)
+        return
     step = _extend_local_periods
-    stack = [(prefix, lp)]
+    path = border_array(prefix) + [0] * (max_len - len(prefix))
+    stack = [(prefix, lp, path[len(prefix) - 1])]
     while stack:
-        w, lp = stack.pop()
-        if len(w) >= min_len:
-            yield w if lp is None else (w, lp)
-        if len(w) < max_len:
+        w, lp, b = stack.pop()
+        n = len(w)
+        path[n - 1] = b
+        if n >= min_len:
+            yield w, lp, n - b
+        if n < max_len:
             for a in reversed(alphabet):
                 if accept is None or accept(w, a):
+                    k = b
+                    while k and w[k] != a:
+                        k = path[k - 1]
                     s = w + a
-                    stack.append((s, None if lp is None else step(s, lp)))
+                    stack.append((s, step(s, lp), k + 1 if w[k] == a else 0))
 
 
 def square_free_range(

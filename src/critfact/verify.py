@@ -3,12 +3,14 @@
 Every local-period sequence behind a verdict or an exploration row
 comes from a fast route and meets the definitional scan in one place,
 ``_checked``, which scans each slice of the words, length by length, in
-block calls and builds a word's profile only when the two agree.  A
-suite reports a disagreement as a counterexample whatever it would have
-concluded; ``explore_problem2`` raises CritfactError.  Walked words step
-local periods down from their parent's with the trie step; chunk
-prefixes, family words and random words take ``local_periods``, the
-direct route for one word.
+block calls.  A suite reports a disagreement as a counterexample
+whatever it would have concluded; ``explore_problem2`` raises
+CritfactError.  Walked words step local periods down from their
+parent's with the trie step and come with per(w) from the walk's border
+array; chunk prefixes, family words and random words take
+``local_periods``, the direct route for one word, and ``border_array``.
+No checked run builds a ``PeriodProfile``: the predicates read the local
+periods, per(w), the midpoint and the critical points directly.
 
 Range suites (``verify`` / ``verify_many``) walk a word universe
 determined by the theorem:
@@ -25,10 +27,11 @@ and folds each chunk; the caller merges the folds in prefix order, so
 its result does not depend on the worker count.  Every walk, including
 the 01-constrained search of ``verify_alpha_extremal``, runs the one
 depth-first walker of ``squarefree``; the all-words universe runs it
-with no letter test.  ``_check_word`` runs the per-word predicates of
-the range suites and of ``verify_beta_eta`` and ``verify_wx_density``,
-whose predicates depend on the word alone; ``_report`` builds every
-report.
+with no letter test.  A range in which the universe holds no word is
+refused, so no suite passes on zero words.  ``_check_word`` runs the
+per-word predicates of the range suites and of ``verify_beta_eta`` and
+``verify_wx_density``, whose predicates depend on the word alone;
+``_report`` builds every report.
 
 The family suites and ``explore_problem1`` live here too.
 """
@@ -48,11 +51,10 @@ from typing import Iterable, Iterator
 from .config import DEFAULT_LIMITS, _check_profile_len
 from .errors import CritfactError, RangeError, ResourceGuard
 from .periods import (
-    PeriodProfile,
-    _profile_of,
+    _critical_interval,
+    _critical_points,
+    _is_unimodal,
     _repetition_word,
-    critical_interval,
-    is_unimodal,
     local_periods,
     local_periods_scan,
 )
@@ -156,50 +158,68 @@ _SCAN_SLICE = 1024
 
 
 def _checked(
-    pairs: Iterable[tuple[str, list[int] | None]]
-) -> Iterator[tuple[str, PeriodProfile | None, str]]:
-    """Each (word, local periods or None for ``local_periods(word)``)
-    pair in order, as (word, profile, "") when the periods agree with the
-    scan of the word, else as (word, None, detail).  A slice of at most
-    ``_SCAN_SLICE`` pairs is grouped by length, each group scanned in one
+    words: Iterable[tuple[str, list[int] | None, int | None]]
+) -> Iterator[tuple[str, list[int], int, str]]:
+    """Each (word, local periods, per(word)) triple in order, as (word,
+    local periods, per(word), detail), where detail is "" when the
+    periods agree with the scan of the word and names the disagreement
+    otherwise.  A word the walk did not step to comes with None for both
+    and takes ``local_periods`` and ``border_array``.  A slice of at most
+    ``_SCAN_SLICE`` words is grouped by length, each group scanned in one
     block call."""
-    pairs = iter(pairs)
-    while batch := list(islice(pairs, _SCAN_SLICE)):
+    words = iter(words)
+    while batch := list(islice(words, _SCAN_SLICE)):
         groups: dict[int, list[str]] = {}
-        for w, _ in batch:
+        for w, _, _ in batch:
             groups.setdefault(len(w), []).append(w)
         scans = {}
         for n, group in groups.items():
             flat = local_periods_scan("".join(group), n)
             scans[n] = iter([flat[i : i + n - 1] for i in range(0, len(flat), n - 1)])
-        for w, lp in batch:
+        for w, lp, per in batch:
             scan = next(scans[len(w)])
             if lp is None:
-                lp = local_periods(w)
+                lp, per = local_periods(w), len(w) - border_array(w)[-1]
             if lp == scan:
-                yield w, _profile_of(w, lp), ""
+                yield w, lp, per, ""
             else:
-                yield w, None, f"local-period routes disagree: trie={lp} scan={scan}"
+                yield w, lp, per, f"local-period routes disagree: trie={lp} scan={scan}"
+
+
+def _has_border(u: str) -> bool:
+    """Whether ``u`` has a nonempty proper border.  The shortest border
+    of a bordered word is unbordered, so it is at most half as long: a
+    border of length k <= |u|//2 is the suffix from j = |u|-k, which
+    starts with u[0], so ``find`` jumps to those j and ``startswith``
+    tests each."""
+    q = len(u)
+    j = u.find(u[0], q - q // 2)
+    while j != -1:
+        if u.startswith(u[j:]):
+            return True
+        j = u.find(u[0], j + 1)
+    return False
 
 
 def _check_word(
-    w: str, ids: tuple[TheoremId, ...], prof: PeriodProfile | None, detail: str
+    w: str, ids: tuple[TheoremId, ...], lp: list[int], per: int, detail: str
 ) -> list[tuple[TheoremId, str, str]]:
-    """Run the per-word predicates on ``prof``, the checked profile of
-    ``w``; without one, the routes disagreed and ``detail`` fails them
-    all."""
-    if prof is None:
+    """Run the per-word predicates on the checked local periods ``lp``
+    and period ``per`` of ``w``; a ``detail`` says the routes disagreed
+    and fails them all."""
+    if detail:
         return [(tid, w, detail) for tid in ids]
     n = len(w)
-    lp, per, crit, mid = prof.local_periods, prof.period, prof.critical_points, prof.midpoint
+    mid = (n + 1) // 2
+    eta = lp.count(per)
     issues = []
     for tid in ids:
         if tid is TheoremId.CFT:
-            if not crit:
+            if not eta:
                 issues.append((tid, w, "no critical point"))
-            elif crit[0] > per:
+            elif lp.index(per) >= per:
                 issues.append(
-                    (tid, w, f"least critical point {crit[0]} exceeds per(w)={per}")
+                    (tid, w, f"least critical point {lp.index(per) + 1} exceeds per(w)={per}")
                 )
         elif tid is TheoremId.MIDPOINT:
             if lp[mid - 1] != per:
@@ -207,12 +227,13 @@ def _check_word(
                     (tid, w, f"midpoint {mid} not critical: per(w,{mid})={lp[mid - 1]}, per={per}")
                 )
         elif tid is TheoremId.UNIMODAL:
-            if not is_unimodal(prof):
-                issues.append((tid, w, f"local periods not unimodal: {list(lp)}"))
+            if not _is_unimodal(lp, mid):
+                issues.append((tid, w, f"local periods not unimodal: {lp}"))
         elif tid is TheoremId.INTERVAL:
-            interval = critical_interval(prof)
+            crit = _critical_points(lp, per)
+            interval = _critical_interval(crit)
             if interval is None:
-                issues.append((tid, w, f"critical points not an interval: {list(crit)}"))
+                issues.append((tid, w, f"critical points not an interval: {crit}"))
             elif not interval[0] <= mid <= interval[1]:
                 issues.append(
                     (tid, w, f"interval [{interval[0]}, {interval[1]}] misses midpoint {mid}")
@@ -227,32 +248,28 @@ def _check_word(
                     (tid, w, f"square-free={sf} but every-point-overflow={all_overflow}")
                 )
         elif tid is TheoremId.MIN_REP_UNBORDERED:
-            # the shortest border of a bordered word is unbordered, so it
-            # is at most half as long
-            for p in range(1, n):
-                u = _repetition_word(w, p, lp[p - 1])
-                for k in range(1, len(u) // 2 + 1):
-                    if u[:k] == u[-k:]:
-                        issues.append((tid, w, f"repetition word {u!r} at p={p} is bordered"))
-                        break
+            for p, q in enumerate(lp, 1):
+                u = _repetition_word(w, p, q)
+                if _has_border(u):
+                    issues.append((tid, w, f"repetition word {u!r} at p={p} is bordered"))
         elif tid is TheoremId.NO_SELF_OVERLAP:
             factors = {w[i:j] for i in range(n) for j in range(i + 1, n + 1)}
             for x in sorted(factors):
                 if overlaps_self(x, w):
                     issues.append((tid, w, f"factor {x!r} overlaps itself"))
         elif tid is TheoremId.UPPER_BOUND:
-            if prof.eta > n - 5:
-                issues.append((tid, w, f"eta={prof.eta} exceeds |w|-5={n - 5}"))
+            if eta > n - 5:
+                issues.append((tid, w, f"eta={eta} exceeds |w|-5={n - 5}"))
         elif tid is TheoremId.LOWER_BOUND:
-            if 4 * prof.eta < n:
-                issues.append((tid, w, f"4*eta={4 * prof.eta} below |w|={n}"))
+            if 4 * eta < n:
+                issues.append((tid, w, f"4*eta={4 * eta} below |w|={n}"))
         elif tid is TheoremId.BETA_ETA:
             if not is_square_free(w):
                 issues.append((tid, w, "family word not square-free"))
             if per != n:
                 issues.append((tid, w, f"family word bordered: per={per} < {n}"))
-            if prof.eta != n - 5:
-                issues.append((tid, w, f"eta={prof.eta}, wanted |w|-5={n - 5}"))
+            if eta != n - 5:
+                issues.append((tid, w, f"eta={eta}, wanted |w|-5={n - 5}"))
             noncrit = [p for p, q in enumerate(lp, 1) if q != per]
             edges = [1, 2, n - 2, n - 1]
             if noncrit != edges:
@@ -271,11 +288,12 @@ def _check_word(
             if not is_square_free(w):
                 issues.append((tid, w, f"w_x for n={k} not square-free"))
                 continue
-            if prof.eta != lx + 3:
-                issues.append((tid, w, f"n={k}: eta={prof.eta}, wanted |x|+3={lx + 3}"))
-            if Fraction(prof.eta, n) != Fraction(1, 4) + Fraction(1, n):
+            if eta != lx + 3:
+                issues.append((tid, w, f"n={k}: eta={eta}, wanted |x|+3={lx + 3}"))
+            if Fraction(eta, n) != Fraction(1, 4) + Fraction(1, n):
                 issues.append((tid, w, f"n={k}: eta/|w| is not exactly 1/4 + 1/|w|"))
-            interval, want = critical_interval(prof), (2 * lx + 4, 3 * lx + 6)
+            interval = _critical_interval(_critical_points(lp, per))
+            want = (2 * lx + 4, 3 * lx + 6)
             if interval != want:
                 issues.append((tid, w, f"n={k}: critical interval {interval}, wanted {want}"))
         else:
@@ -284,15 +302,15 @@ def _check_word(
 
 
 def _check_words(
-    words: Iterable[tuple[str, list[int] | None]], ids: tuple[TheoremId, ...]
+    words: Iterable[tuple[str, list[int] | None, int | None]], ids: tuple[TheoremId, ...]
 ) -> tuple[int, list[tuple[TheoremId, str, str]]]:
-    """Number of (word, local periods or None) pairs checked, and the
+    """Number of (word, local periods, period) triples checked, and the
     issues ``_check_word`` found."""
     tested = 0
     found: list[tuple[TheoremId, str, str]] = []
-    for w, prof, detail in _checked(words):
+    for w, lp, per, detail in _checked(words):
         tested += 1
-        found.extend(_check_word(w, ids, prof, detail))
+        found.extend(_check_word(w, ids, lp, per, detail))
     return tested, found
 
 
@@ -309,7 +327,9 @@ def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, ex
     length (k^n words over k letters, or the square-free ones as
     ``_counts_by_length`` grows them).  Raises ResourceGuard the moment
     the total passes the word ceiling, ``CRITFACT_MAX_WORDS``, so it
-    counts no further and names a total of bounded size."""
+    counts no further and names a total of bounded size, and RangeError
+    when the universe holds no word in the range, so that no suite
+    passes on zero words tested."""
     ceiling = DEFAULT_LIMITS.max_words
     if _ACCEPT[universe] is None:
         # past the ceiling's bit length k^n exceeds it for any k >= 2
@@ -322,6 +342,10 @@ def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, ex
         total += size
         if total > ceiling:
             raise ResourceGuard(f"at least {total} words to test exceed the ceiling {ceiling}")
+    if total == extra:
+        raise RangeError(
+            f"the {universe} universe over {alphabet!r} holds no word of length {min_len}..{max_len}"
+        )
     return total
 
 
@@ -440,7 +464,7 @@ def verify_many(
             random_square_free(rng.randint(opts.random_min, opts.random_max), rng, opts.alphabet)
             for _ in range(opts.random_count)
         )
-        parts.append(_check_words(((w, None) for w in words), ids))
+        parts.append(_check_words(((w, None, None) for w in words), ids))
         range_desc["randomCount"] = opts.random_count
         range_desc["randomMin"] = opts.random_min
         range_desc["randomMax"] = opts.random_max
@@ -527,7 +551,7 @@ def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
     """
     start = time.perf_counter()
     words = beta_family(count, search_bound)
-    tested, found = _check_words(((w, None) for w in words), (TheoremId.BETA_ETA,))
+    tested, found = _check_words(((w, None, None) for w in words), (TheoremId.BETA_ETA,))
     range_desc = {"count": count, "searchBound": search_bound}
     return _report(TheoremId.BETA_ETA, range_desc, tested, [(w, d) for _, w, d in found], start)
 
@@ -547,7 +571,7 @@ def verify_wx_density(n_max: int) -> VerificationReport:
         w = construct_wx(x_n(n))
         _check_profile_len(len(w), "|w| =")  # the ceiling ``profile`` applies
         words.append(w)
-    tested, found = _check_words(((w, None) for w in words), (TheoremId.WX_DENSITY,))
+    tested, found = _check_words(((w, None, None) for w in words), (TheoremId.WX_DENSITY,))
     found_pairs = [(w, d) for _, w, d in found]
     return _report(TheoremId.WX_DENSITY, {"nMax": n_max}, tested, found_pairs, start)
 
@@ -593,10 +617,10 @@ def _problem2_fold(walk, _) -> dict:
     """For each length divisible by 4 in the walk: the words tested, the
     least eta(w) - |w|/4 and the words where it is 0, in walk order."""
     rows: dict[int, list] = {}
-    for w, prof, detail in _checked((w, lp) for w, lp in walk if len(w) % 4 == 0):
-        if prof is None:
+    for w, lp, per, detail in _checked(t for t in walk if len(t[0]) % 4 == 0):
+        if detail:
             raise CritfactError(detail)
-        excess = prof.eta - len(w) // 4
+        excess = lp.count(per) - len(w) // 4
         row = rows.setdefault(len(w), [0, excess, []])
         row[0] += 1
         row[1] = min(row[1], excess)

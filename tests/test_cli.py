@@ -275,6 +275,22 @@ def test_one_letter_ranges_past_the_profile_ceiling_exit_2_at_once(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, universe",
+    [
+        (["verify", "midpoint", "--min", "5", "--max", "6", "--alphabet", "01"],
+         "square-free universe over '01' holds no word of length 5..6"),
+        (["verify", "no-overlap", "--min", "2", "--max", "4", "--alphabet", "0"],
+         "square-free universe over '0' holds no word of length 2..4"),
+    ],
+)
+def test_empty_universes_exit_2(capsys, argv, universe):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"critfact: error: the {universe}\n"
+
+
 def test_enumeration_past_the_profile_ceiling_exits_2_at_once(capsys):
     start = time.perf_counter()
     assert run(["enumerate", "--n", "100000", "--count-only"]) == 2

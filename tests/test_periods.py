@@ -277,7 +277,7 @@ def test_trie_step_equals_scan_exhaustively():
     # every ternary word of length 2..9, each stepped from its parent
     walked = 0
     for letter in "012":
-        for w, lp in _walk(letter, 2, 9, "012", lp=[]):
+        for w, lp, _ in _walk(letter, 2, 9, "012", lp=[]):
             walked += 1
             assert lp == local_periods_scan(w), w
     assert walked == sum(3**n for n in range(2, 10))

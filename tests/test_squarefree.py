@@ -24,8 +24,9 @@ from critfact.periods import local_periods, local_periods_scan
 from critfact.squarefree import _walk
 from critfact.thue import m_prefix
 from critfact.verify import _count_universe, verify_alpha_extremal
+from critfact.words import global_period
 
-from conftest import all_words, brute_has_square
+from conftest import all_words, brute_border, brute_has_square
 
 
 def test_find_square_trivial():
@@ -264,17 +265,51 @@ def test_walk_without_letter_test_yields_every_word():
 
 def test_walk_carries_local_periods_on_request():
     for prefix in ("01", "0120"):
-        pairs = list(_walk(prefix, 2, 16, "012", extend_square_free, local_periods(prefix)))
-        assert [w for w, _ in pairs] == list(square_free_range(2, 16, prefix=prefix))
-        for w, lp in pairs:
+        triples = list(_walk(prefix, 2, 16, "012", extend_square_free, local_periods(prefix)))
+        assert [w for w, _, _ in triples] == list(square_free_range(2, 16, prefix=prefix))
+        for w, lp, _ in triples:
             assert lp == local_periods_scan(w), w
 
 
+def _assert_periods_carried(walk, words):
+    got = list(walk)
+    assert sorted(w for w, _, _ in got) == sorted(words)
+    for w, _, per in got:
+        assert per == len(w) - brute_border(w) == global_period(w), w
+
+
+def _universe(alphabet, accept, top):
+    if accept:
+        return list(square_free_range(1, top, alphabet))
+    return [w for n in range(1, top + 1) for w in all_words(n, alphabet)]
+
+
+def test_walk_carries_the_global_period():
+    # every walk shape the engine runs: from one letter, square-free or
+    # not, over two to four letters, and from the chunk prefixes
+    for alphabet, accept, top in (
+        ("012", extend_square_free, 16),
+        ("012", None, 9),
+        ("01", None, 14),
+        ("0123", extend_square_free, 8),
+    ):
+        walks = (_walk(a, 1, top, alphabet, accept, []) for a in alphabet)
+        _assert_periods_carried((t for walk in walks for t in walk), _universe(alphabet, accept, top))
+    for depth in (2, 3):
+        for accept, top in ((extend_square_free, 16), (None, 8)):
+            words = _universe("012", accept, top)
+            for prefix in _walk("", depth, depth, "012", accept):
+                walk = _walk(prefix, depth, top, "012", accept, local_periods(prefix))
+                below = [w for w in words if w.startswith(prefix)]
+                _assert_periods_carried(walk, below)
+
+
 def test_bare_walks_run_no_trie_step(monkeypatch, capsys):
-    def refuse(s, lp):
+    def refuse(*args):
         raise AssertionError("the trie step ran on a bare walk")
 
     monkeypatch.setattr(squarefree_module, "_extend_local_periods", refuse)
+    monkeypatch.setattr(squarefree_module, "border_array", refuse)
     assert count_square_free(12) == 264
     assert sum(1 for _ in _walk("", 0, 8, "012")) == sum(3**n for n in range(9))
     assert _count_universe("square-free", "012", 2, 14, 0) == 1764

@@ -19,11 +19,10 @@ from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods_scan
 from critfact.squarefree import count_square_free, find_square, is_square_free, square_free_words
 from critfact.thue import x_n
-from critfact.verify import _check_words
+from critfact.verify import _check_words, _has_border
 
-from conftest import all_words
+from conftest import all_words, brute_border
 
-import dataclasses
 import importlib
 import json
 import random
@@ -186,19 +185,70 @@ def test_jobs_do_not_change_reports():
     assert d1 == d4
 
 
+def test_border_jump_matches_brute_border():
+    for alphabet, top in (("012", 10), ("01", 14)):
+        for n in range(1, top + 1):
+            for u in all_words(n, alphabet):
+                assert _has_border(u) == (brute_border(u) > 0), u
+
+
+def test_checked_runs_build_no_profile(monkeypatch):
+    sf_ids = [TheoremId.MIDPOINT, TheoremId.UNIMODAL, TheoremId.INTERVAL,
+              TheoremId.LOWER_BOUND, TheoremId.NO_SELF_OVERLAP]
+    all_ids = [TheoremId.CFT, TheoremId.MIN_REP_UNBORDERED, TheoremId.OVERFLOW_IFF_SQUAREFREE]
+    random_opts = VerifyOptions(random_count=20, random_min=5, random_max=30, seed=5)
+
+    def run():
+        return (
+            _report_docs(verify_many(all_ids, 2, 7))
+            + _report_docs(verify_many(all_ids, 2, 10, VerifyOptions(alphabet="01")))
+            + _report_docs(verify_many(sf_ids, 2, 14, random_opts))
+            + _report_docs([verify(TheoremId.UPPER_BOUND, 26, 26)])
+            + _report_docs([verify_beta_eta(2, 1000), verify_wx_density(2)])
+            + [json.dumps(explore_problem2(12))]
+        )
+
+    def refuse(*args):
+        raise AssertionError("a checked run built a PeriodProfile")
+
+    before = run()
+    # verify binds no PeriodProfile of its own: every builder reads this one
+    monkeypatch.setattr(periods_module, "PeriodProfile", refuse)
+    assert run() == before
+
+
+def test_empty_universes_are_refused(monkeypatch):
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    with pytest.raises(
+        RangeError, match="^the square-free universe over '01' holds no word of length 5..6$"
+    ):
+        verify(TheoremId.MIDPOINT, 5, 6, VerifyOptions(alphabet="01"))
+    with pytest.raises(
+        RangeError, match="^the square-free universe over '0' holds no word of length 2..4$"
+    ):
+        verify(TheoremId.NO_SELF_OVERLAP, 2, 4, VerifyOptions(alphabet="0", random_count=1,
+                                                              random_min=2, random_max=2))
+
+
+def test_partly_empty_universes_test_their_words():
+    # 010 and 101 are the only binary square-free words past length 2
+    report = verify(TheoremId.MIDPOINT, 3, 6, VerifyOptions(alphabet="01"))
+    assert (report.tested, report.verdict) == (2, "PASS")
+
+
 def test_check_word_flags_violations():
     # the interval predicate really fires on a word whose critical set
     # has gaps (a non-square-free word, so no theorem is contradicted)
-    _, issues = _check_words([(EX1, None)], (TheoremId.INTERVAL,))
+    _, issues = _check_words([(EX1, None, None)], (TheoremId.INTERVAL,))
     assert issues == [
         (TheoremId.INTERVAL, EX1, "critical points not an interval: [7, 8, 11, 12]")
     ]
     # and stays quiet on a word where the set is an interval
-    assert _check_words([("01020120210201021", None)], (TheoremId.INTERVAL,)) == (1, [])
+    assert _check_words([("01020120210201021", None, None)], (TheoremId.INTERVAL,)) == (1, [])
 
 
 def test_check_word_unimodal_flags_example1():
-    _, issues = _check_words([(EX1, None)], (TheoremId.UNIMODAL,))
+    _, issues = _check_words([(EX1, None, None)], (TheoremId.UNIMODAL,))
     assert issues == [(TheoremId.UNIMODAL, EX1, f"local periods not unimodal: {EX1_LP}")]
 
 
@@ -206,7 +256,7 @@ def test_check_word_route_disagreement_fails_every_predicate(monkeypatch):
     monkeypatch.setattr(verify_module, "local_periods", lambda w: [1] * (len(w) - 1))
     ids = (TheoremId.CFT, TheoremId.MIDPOINT)
     detail = f"local-period routes disagree: trie={[1] * 18} scan={EX1_LP}"
-    assert _check_words([(EX1, None)], ids) == (1, [(tid, EX1, detail) for tid in ids])
+    assert _check_words([(EX1, None, None)], ids) == (1, [(tid, EX1, detail) for tid in ids])
 
 
 def test_scan_guards_the_trie_step(monkeypatch):
@@ -520,14 +570,17 @@ def test_problem2_keeps_every_exact_witness_whatever_the_minimum(monkeypatch):
     # excess 0 on 01210120, 01210212 and 12102012, -1 on 01210201 and
     # 02101210: each witness stays, in walk order, whether it is walked
     # before or after a lower excess, in its own chunk or another
-    real = verify_module._profile_of
+    real = verify_module._checked
     eta = {"01210120": 2, "01210201": 1, "01210212": 2, "02101210": 1, "12102012": 2}
 
-    def patched(w, lp):
-        prof = real(w, lp)
-        return dataclasses.replace(prof, eta=eta[w]) if w in eta else prof
+    def patched(words):
+        # the fold counts eta as the positions whose local period is per
+        for w, lp, per, detail in real(words):
+            if w in eta:
+                lp = [per] * eta[w] + [per + 1] * (len(w) - 1 - eta[w])
+            yield w, lp, per, detail
 
-    monkeypatch.setattr(verify_module, "_profile_of", patched)
+    monkeypatch.setattr(verify_module, "_checked", patched)
     row = explore_problem2(8)["lengths"][1]
     assert (row["length"], row["tested"], row["minExcess"]) == (8, 78, -1)
     assert row["witnesses"] == ["01210120", "01210212", "12102012"]
@@ -658,7 +711,7 @@ def test_family_suites_fail_on_route_disagreement(monkeypatch):
 
 
 def test_wx_details_name_n_from_the_word_length(monkeypatch):
-    monkeypatch.setattr(verify_module, "critical_interval", lambda prof: None)
+    monkeypatch.setattr(verify_module, "_critical_interval", lambda crit: None)
     report = verify_wx_density(2)
     assert sorted(d for _, d in report.counterexamples) == [
         "n=1: critical interval None, wanted (22, 33)",
