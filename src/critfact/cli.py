@@ -21,7 +21,7 @@ from .periods import (
     profile_csv_rows,
     profile_json_dict,
 )
-from .squarefree import count_square_free, is_square_free, square_free_words
+from .squarefree import _counts_by_length, is_square_free
 from .thue import (
     alpha_n,
     beta_family,
@@ -42,7 +42,7 @@ from .verify import (
     verify_beta_eta,
     verify_wx_density,
 )
-from .words import global_period, parse_word
+from .words import TERNARY, global_period, parse_word
 
 _CONSOLE_CE_LIMIT = 10
 
@@ -153,6 +153,8 @@ def _profile_csv(profs) -> str:
 
 
 def _cmd_profile(args) -> int:
+    if args.json and args.csv:
+        raise CritfactError("profile takes --json or --csv, not both")
     words = []
     if args.file:
         try:
@@ -164,6 +166,8 @@ def _cmd_profile(args) -> int:
                     words.append(parse_word(w))
         except UnicodeDecodeError as exc:
             raise CritfactError(f"{args.file}: {exc}") from None
+        if not words:
+            raise CritfactError(f"{args.file}: no words")
     elif args.word is not None:
         words.append(parse_word(args.word))
     else:
@@ -191,16 +195,14 @@ def _cmd_global(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    count = count_square_free(args.n)  # both ceilings hold before any word is listed
-    if not args.count_only:
-        lines = list(square_free_words(args.n))
+    words = _counts_by_length(args.n, TERNARY)[1]  # both ceilings hold before the listing
     if args.json:
-        doc: dict = {"n": args.n, "count": count}
+        doc: dict = {"n": args.n, "count": len(words)}
         if not args.count_only:
-            doc["words"] = lines
+            doc["words"] = words
         _emit(args, json.dumps(doc, indent=2))
     else:
-        _emit(args, str(count) if args.count_only else "\n".join(lines))
+        _emit(args, str(len(words)) if args.count_only else "\n".join(words))
     return 0
 
 

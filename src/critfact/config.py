@@ -4,7 +4,7 @@ All bounds live here so CLI and library runs share one predictable
 resource envelope.  Each is one ``Limits`` field, set by the variable
 ``CRITFACT_<FIELD NAME IN CAPITALS>``:
 
-    CRITFACT_MAX_WORDS        enumeration ceiling per run   (default 1_000_000)
+    CRITFACT_MAX_WORDS        words a run may grow          (default 1_000_000)
     CRITFACT_MAX_PROFILE_LEN  longest word profiled         (default 5_000)
     CRITFACT_MAX_PREFIX_LEN   longest generated prefix      (default 2_000_000)
 
@@ -12,9 +12,9 @@ A variable is read when a call checks its ceiling, never at import, and
 must hold a positive integer; any other value raises RangeError.
 
 These fields are the only limits: no suite or search keeps a cap of its
-own.  Square-free universes are counted length by length against the
-word ceiling before they are walked, so a run past it stops at the first
-length that passes it; only ``explore problem1``, whose search stops at
+own.  Every word a run will grow, each length from 0 up and any random
+words, is counted against the word ceiling before the walk, which a run
+past it never starts; only ``explore problem1``, whose search stops at
 each length's first witness, holds its running total to it as it goes.
 """
 

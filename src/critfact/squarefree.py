@@ -22,10 +22,10 @@ period per(w) down the trie, so the range suites check a walked word
 from the walk's own state.
 
 Counts go breadth first instead: ``_counts_by_length`` grows each
-length's square-free words from the previous length's, so every
-pre-count (``count_square_free``, the range suites' and ``explore
-problem2``'s) stops at the first length past the word ceiling and
-builds no longer word.
+length's square-free words, in order, from the previous length's, and
+holds every word grown to the word ceiling; ``enumerate`` lists the
+last length.  Every square-free pre-count runs it, so none grows a
+length past the first at which the running total passes the ceiling.
 """
 
 from __future__ import annotations
@@ -230,45 +230,51 @@ def square_free_words(
     return square_free_range(n, n, alphabet, prefix)
 
 
-def _counts_by_length(max_len: int, alphabet: str) -> Iterator[int]:
-    """Yield the number of square-free words over ``alphabet`` of each
-    length 0..``max_len``, in order.  Length 1 comes from
-    ``square_free_words`` and each longer length from the words of the
-    one before, grown by ``extend_square_free``, so no more than two
-    lengths' words are held at once.  Raises RangeError for a negative
-    length and ResourceGuard when ``max_len`` passes the profile
-    ceiling, both before the first count; it also raises ResourceGuard
-    rather than grow a length that holds more words than the word
-    ceiling, ``CRITFACT_MAX_WORDS``.
+def _hold_words(extra: int = 0) -> Callable[[int], None]:
+    """A check that adds each length's words to a running total of the
+    words a run will grow, from ``extra``, and raises ResourceGuard
+    naming it once it passes the word ceiling, ``CRITFACT_MAX_WORDS``."""
+    ceiling, total = DEFAULT_LIMITS.max_words, extra
+
+    def hold(size: int) -> None:
+        nonlocal total
+        total += size
+        if total > ceiling:
+            raise ResourceGuard(f"at least {total} words to grow exceed the ceiling {ceiling}")
+
+    return hold
+
+
+def _counts_by_length(max_len: int, alphabet: str, extra: int = 0) -> tuple[list[int], list[str]]:
+    """The number of square-free words over ``alphabet`` of each length
+    0..``max_len``, and the words of length ``max_len`` in lexicographic
+    order.  Length 1 comes from ``square_free_words`` and each longer
+    length from the words of the one before, grown by
+    ``extend_square_free``, so no more than two lengths' words are held
+    at once.  Raises RangeError for a negative length and ResourceGuard
+    when ``max_len`` passes the profile ceiling, both before the first
+    word, and ``_hold_words`` at the first length at which ``extra``
+    plus the words grown pass the word ceiling.
     """
     if max_len < 0:
         raise RangeError(f"need length >= 0, got {max_len}")
     _check_profile_len(max_len, "max length")
-    ceiling = DEFAULT_LIMITS.max_words
-    yield 1  # the empty word
-    if max_len:
-        words = list(square_free_words(1, alphabet))
-        yield len(words)
-        for n in range(2, max_len + 1):
-            if len(words) > ceiling:
-                raise ResourceGuard(
-                    f"{len(words)} square-free words of length {n - 1} exceed the ceiling {ceiling}"
-                )
+    words, counts, hold = [""], [], _hold_words(extra)
+    for n in range(max_len + 1):
+        if n == 1:
+            words = list(square_free_words(1, alphabet))
+        elif n:
             words = [w + a for w in words for a in alphabet if extend_square_free(w, a)]
-            yield len(words)
+        counts.append(len(words))
+        hold(len(words))
+    return counts, words
 
 
 def count_square_free(n: int, alphabet: str = TERNARY) -> int:
     """Number of square-free words of length ``n`` over ``alphabet``,
-    counted length by length.  Raises ResourceGuard when ``n`` passes
-    the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``, and at the first
-    length that holds more words than the word ceiling,
-    ``CRITFACT_MAX_WORDS``."""
-    ceiling = DEFAULT_LIMITS.max_words
-    for count in _counts_by_length(n, alphabet):
-        if count > ceiling:
-            raise ResourceGuard(f"enumeration exceeded the ceiling of {ceiling} words")
-    return count
+    grown length by length by ``_counts_by_length`` and so held to both
+    ceilings."""
+    return _counts_by_length(n, alphabet)[0][-1]
 
 
 def overlaps_self(x: str, w: str) -> bool:

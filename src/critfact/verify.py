@@ -21,10 +21,10 @@ determined by the theorem:
     lower-bound                      square-free words only
 
 They and ``explore_problem2`` run one engine, ``_run_universe``: it
-counts the universe length by length against the word ceiling, walks
-it in chunks, one per word prefix, serially or across worker processes,
-and folds each chunk; the caller merges the folds in prefix order, so
-its result does not depend on the worker count.  Every walk, including
+holds every word the run will grow to the word ceiling, walks the
+universe in chunks, one per word prefix, serially or across worker
+processes, and folds each chunk; the caller merges the folds in prefix
+order, so its result does not depend on the worker count.  Every walk, including
 the 01-constrained search of ``verify_alpha_extremal``, runs the one
 depth-first walker of ``squarefree``; the all-words universe runs it
 with no letter test.  A range in which the universe holds no word is
@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
@@ -60,6 +60,7 @@ from .periods import (
 )
 from .squarefree import (
     _counts_by_length,
+    _hold_words,
     _walk,
     extend_square_free,
     is_square_free,
@@ -322,38 +323,28 @@ def _run_chunk(payload):
     return fold(walk, arg)
 
 
-def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, extra: int) -> int:
-    """Words to test: ``extra`` plus the universe, added up length by
-    length (k^n words over k letters, or the square-free ones as
-    ``_counts_by_length`` grows them).  Raises ResourceGuard the moment
-    the total passes the word ceiling, ``CRITFACT_MAX_WORDS``, so it
-    counts no further and names a total of bounded size, and RangeError
-    when the universe holds no word in the range, so that no suite
-    passes on zero words tested."""
-    ceiling = DEFAULT_LIMITS.max_words
+def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, extra: int) -> None:
+    """Hold each length 0..``max_len`` of the universe, k^n words over k
+    letters or the square-free ones as ``_counts_by_length`` grows them,
+    plus ``extra`` random words, to the word ceiling, length by length,
+    so the total named stays near it.  Raises RangeError when the
+    square-free universe, which is prefix-closed, holds no word of
+    length ``min_len``, so that no suite passes on zero words tested."""
     if _ACCEPT[universe] is None:
-        # past the ceiling's bit length k^n exceeds it for any k >= 2
-        cap = ceiling.bit_length()
-        sizes = (len(alphabet) ** min(n, cap) for n in range(min_len, max_len + 1))
-    else:
-        sizes = islice(_counts_by_length(max_len, alphabet), min_len, None)
-    total = 0
-    for size in chain([extra], sizes):
-        total += size
-        if total > ceiling:
-            raise ResourceGuard(f"at least {total} words to test exceed the ceiling {ceiling}")
-    if total == extra:
+        hold = _hold_words(extra)
+        for n in range(max_len + 1):
+            hold(len(alphabet) ** n)
+    elif not _counts_by_length(max_len, alphabet, extra)[0][min_len]:
         raise RangeError(
-            f"the {universe} universe over {alphabet!r} holds no word of length {min_len}..{max_len}"
+            f"the {universe} universe over {alphabet!r} holds no word of length {min_len}"
         )
-    return total
 
 
 def _run_universe(fold, arg, universe, alphabet, min_len, max_len, jobs=1, extra=0) -> list:
     """``fold(walk, arg)`` of each chunk, the walk below one prefix of
     length min(3, ``min_len``), in prefix order.  First the universe's
-    words of lengths ``min_len``..``max_len``, plus ``extra``, are held
-    to the word ceiling and ``max_len`` to the profile ceiling.  Chunks
+    words of lengths 0..``max_len``, plus ``extra``, are held to the
+    word ceiling and ``max_len`` to the profile ceiling.  Chunks
     run on a pool of at most ``jobs`` processes."""
     _count_universe(universe, alphabet, min_len, max_len, extra)
     # every word is profiled; a square-free count walk has raised this already
@@ -635,7 +626,7 @@ def explore_problem2(len_max: int) -> dict:
     that steps local periods down the trie; the scan checks them on
     every word reported, and a disagreement raises CritfactError.
 
-    Before the walk, the square-free words of lengths 4..``len_max`` are
+    Before the walk, the square-free words of lengths 0..``len_max`` are
     counted length by length against the word ceiling,
     ``CRITFACT_MAX_WORDS``, and ``len_max`` is held to the profile
     ceiling, ``CRITFACT_MAX_PROFILE_LEN``."""

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import time
 
@@ -6,6 +7,10 @@ import pytest
 
 from critfact.cli import run
 from critfact.periods import profile, profile_json_dict
+from critfact.squarefree import square_free_words
+
+# the module, which the package's ``verify`` function shadows
+verify_module = importlib.import_module("critfact.verify")
 
 
 def run_json(capsys, argv):
@@ -77,6 +82,35 @@ def test_profile_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
     )
 
 
+def test_profile_csv_of_two_words_names_each_word(capsys, tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("010\n12\n")
+    assert run(["profile", "--file", str(path), "--csv"]) == 0
+    assert capsys.readouterr().out == (
+        "word,p,localPeriod,u,leftOverflow,rightOverflow,critical\n"
+        "010,1,2,10,true,false,true\n"
+        "010,2,2,01,false,true,true\n"
+        "12,1,2,21,true,true,true\n"
+    )
+
+
+def test_profile_takes_json_or_csv_not_both(capsys):
+    assert run(["profile", "0120", "--csv", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "critfact: error: profile takes --json or --csv, not both\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--csv"]])
+def test_profile_rejects_an_empty_file(capsys, tmp_path, flags):
+    path = tmp_path / "words.txt"
+    path.write_text("")
+    assert run(["profile", "--file", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"critfact: error: {path}: no words\n"
+
+
 def test_global_verb(capsys):
     assert run(["global", "0120201202021021021"]) == 0
     assert capsys.readouterr().out.strip() == "19"
@@ -90,6 +124,9 @@ def test_enumerate_counts(capsys):
     assert capsys.readouterr().out.strip() == "12"
     code, doc = run_json(capsys, ["enumerate", "--n", "2", "--json"])
     assert doc == {"n": 2, "count": 6, "words": ["01", "02", "10", "12", "20", "21"]}
+    # the listing grown length by length keeps the depth-first walk's order
+    assert run(["enumerate", "--n", "9"]) == 0
+    assert capsys.readouterr().out == "\n".join(square_free_words(9)) + "\n"
 
 
 def test_enumerate_ceiling(capsys, monkeypatch):
@@ -187,6 +224,46 @@ def test_explore_cli(capsys):
     assert [r["witness"] for r in doc["lengths"]] == [None, None, None]
 
 
+def test_explore_plain_output(capsys):
+    assert run(["explore", "problem1", "--max", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "problem  problem1\n"
+        "note     searching square-free x for which 0x02x10x02x0 is square-free;"
+        " reported per length within the searched range only\n"
+        '  {"length": 1, "witness": null, "searched": 3}\n'
+        '  {"length": 2, "witness": null, "searched": 6}\n'
+        '  {"length": 3, "witness": null, "searched": 12}\n'
+    )
+    assert run(["explore", "problem2", "--max", "8"]) == 0
+    assert capsys.readouterr().out == (
+        "problem  problem2\n"
+        '  {"length": 4, "minExcess": 1, "witnesses": [], "tested": 18}\n'
+        '  {"length": 8, "minExcess": 1, "witnesses": [], "tested": 78}\n'
+    )
+
+
+def test_verify_plain_output_lists_ten_counterexamples(capsys, monkeypatch):
+    monkeypatch.setattr(verify_module, "_is_unimodal", lambda lp, mid: False)
+    assert run(["verify", "unimodal", "--min", "2", "--max", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "theorem  unimodal\n"
+        'range    {"minLen": 2, "maxLen": 3, "universe": "square-free", "alphabet": "012"}\n'
+        "tested   18\n"
+        "verdict  FAIL\n"
+        "  counterexample 01: local periods not unimodal: [2]\n"
+        "  counterexample 010: local periods not unimodal: [2, 2]\n"
+        "  counterexample 012: local periods not unimodal: [3, 3]\n"
+        "  counterexample 02: local periods not unimodal: [2]\n"
+        "  counterexample 020: local periods not unimodal: [2, 2]\n"
+        "  counterexample 021: local periods not unimodal: [3, 3]\n"
+        "  counterexample 10: local periods not unimodal: [2]\n"
+        "  counterexample 101: local periods not unimodal: [2, 2]\n"
+        "  counterexample 102: local periods not unimodal: [3, 3]\n"
+        "  counterexample 12: local periods not unimodal: [2]\n"
+        "  ... 8 more\n"
+    )
+
+
 def test_out_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     assert run(["global", "012", "--json", "--out", str(path)]) == 0
@@ -260,18 +337,23 @@ def test_all_word_ranges_past_the_ceiling_exit_2_at_once(capsys, max_len):
     start = time.perf_counter()
     assert run(["verify", "cft", "--min", "2", "--max", max_len]) == 2
     assert time.perf_counter() - start < 1
-    # 3^2 + ... + 3^13 words of lengths 2..13 pass the ceiling
+    # 3^0 + ... + 3^13 words of lengths 0..13 pass the ceiling
     assert capsys.readouterr().err == (
-        "critfact: error: at least 2391480 words to test exceed the ceiling 1000000\n"
+        "critfact: error: at least 2391484 words to grow exceed the ceiling 1000000\n"
     )
 
 
 def test_one_letter_ranges_past_the_profile_ceiling_exit_2_at_once(capsys):
+    # lengths 0..999999 hold 10^6 one-letter words, the word ceiling
     start = time.perf_counter()
-    assert run(["verify", "cft", "--min", "2", "--max", "1000000", "--alphabet", "0"]) == 2
+    assert run(["verify", "cft", "--min", "2", "--max", "999999", "--alphabet", "0"]) == 2
     assert time.perf_counter() - start < 5
     assert capsys.readouterr().err == (
-        "critfact: error: max length 1000000 exceeds the profile ceiling 5000\n"
+        "critfact: error: max length 999999 exceeds the profile ceiling 5000\n"
+    )
+    assert run(["verify", "cft", "--min", "2", "--max", "1000000", "--alphabet", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "critfact: error: at least 1000001 words to grow exceed the ceiling 1000000\n"
     )
 
 
@@ -279,9 +361,9 @@ def test_one_letter_ranges_past_the_profile_ceiling_exit_2_at_once(capsys):
     "argv, universe",
     [
         (["verify", "midpoint", "--min", "5", "--max", "6", "--alphabet", "01"],
-         "square-free universe over '01' holds no word of length 5..6"),
+         "square-free universe over '01' holds no word of length 5"),
         (["verify", "no-overlap", "--min", "2", "--max", "4", "--alphabet", "0"],
-         "square-free universe over '0' holds no word of length 2..4"),
+         "square-free universe over '0' holds no word of length 2"),
     ],
 )
 def test_empty_universes_exit_2(capsys, argv, universe):

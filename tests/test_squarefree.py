@@ -312,7 +312,8 @@ def test_bare_walks_run_no_trie_step(monkeypatch, capsys):
     monkeypatch.setattr(squarefree_module, "border_array", refuse)
     assert count_square_free(12) == 264
     assert sum(1 for _ in _walk("", 0, 8, "012")) == sum(3**n for n in range(9))
-    assert _count_universe("square-free", "012", 2, 14, 0) == 1764
+    assert sum(squarefree_module._counts_by_length(14, "012")[0]) == 1768
+    assert _count_universe("square-free", "012", 2, 14, 0) is None
     assert verify_alpha_extremal().verdict == "PASS"
     assert run(["enumerate", "--n", "10", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "144"
@@ -346,8 +347,9 @@ def test_factors_of_square_free_words_are_square_free():
 
 def test_count_square_free_keeps_the_word_ceiling(monkeypatch, capsys):
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "10")
+    # 1 + 3 + 6 words of lengths 0..2 fill the ceiling, 12 more pass it
     assert count_square_free(2) == 6
-    message = "enumeration exceeded the ceiling of 10 words"
+    message = "at least 22 words to grow exceed the ceiling 10"
     with pytest.raises(ResourceGuard, match=message):
         count_square_free(12)
     assert run(["enumerate", "--n", "12", "--count-only"]) == 2

@@ -16,10 +16,11 @@ from critfact import (
 from critfact import periods as periods_module
 from critfact import squarefree as squarefree_module
 from critfact.errors import CritfactError, ResourceGuard
-from critfact.periods import local_periods_scan
+from critfact.periods import local_periods, local_periods_scan
 from critfact.squarefree import count_square_free, find_square, is_square_free, square_free_words
 from critfact.thue import x_n
-from critfact.verify import _check_words, _has_border
+from critfact.verify import _check_word, _check_words, _has_border
+from critfact.words import global_period
 
 from conftest import all_words, brute_border
 
@@ -101,8 +102,8 @@ def test_verify_rejects_bad_ranges():
 
 def test_resource_guard(monkeypatch):
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "1000")
-    # 9 + 27 + 81 + 243 ternary words of lengths 2..5, then 729 more
-    message = "at least 1089 words to test exceed the ceiling 1000"
+    # 1 + 3 + 9 + 27 + 81 + 243 ternary words of lengths 0..5, then 729 more
+    message = "at least 1093 words to grow exceed the ceiling 1000"
     with pytest.raises(ResourceGuard, match=message):
         verify(TheoremId.CFT, 2, 11)
 
@@ -220,11 +221,11 @@ def test_checked_runs_build_no_profile(monkeypatch):
 def test_empty_universes_are_refused(monkeypatch):
     monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
     with pytest.raises(
-        RangeError, match="^the square-free universe over '01' holds no word of length 5..6$"
+        RangeError, match="^the square-free universe over '01' holds no word of length 5$"
     ):
         verify(TheoremId.MIDPOINT, 5, 6, VerifyOptions(alphabet="01"))
     with pytest.raises(
-        RangeError, match="^the square-free universe over '0' holds no word of length 2..4$"
+        RangeError, match="^the square-free universe over '0' holds no word of length 2$"
     ):
         verify(TheoremId.NO_SELF_OVERLAP, 2, 4, VerifyOptions(alphabet="0", random_count=1,
                                                               random_min=2, random_max=2))
@@ -234,6 +235,83 @@ def test_partly_empty_universes_test_their_words():
     # 010 and 101 are the only binary square-free words past length 2
     report = verify(TheoremId.MIDPOINT, 3, 6, VerifyOptions(alphabet="01"))
     assert (report.tested, report.verdict) == (2, "PASS")
+
+
+BETA_WORD = "01020120210201210120212"  # beta_family(1, 10**4)[0]
+
+
+@pytest.mark.parametrize(
+    "w, tid, lp, per, details",
+    [
+        ("012", TheoremId.CFT, [1, 1], 3, ["no critical point"]),
+        ("012", TheoremId.CFT, [2, 1], 1, ["least critical point 2 exceeds per(w)=1"]),
+        ("011", TheoremId.MIDPOINT, None, None, ["midpoint 2 not critical: per(w,2)=1, per=3"]),
+        ("01201", TheoremId.INTERVAL, [5, 5, 1, 1], 5, ["interval [1, 2] misses midpoint 3"]),
+        ("012", TheoremId.OVERFLOW_IFF_SQUAREFREE, [1, 1], 3,
+         ["square-free=True but every-point-overflow=False"]),
+        ("000", TheoremId.NO_SELF_OVERLAP, None, None, ["factor '00' overlaps itself"]),
+        ("0120", TheoremId.UPPER_BOUND, None, None, ["eta=3 exceeds |w|-5=-1"]),
+        ("00001", TheoremId.LOWER_BOUND, None, None, ["4*eta=4 below |w|=5"]),
+        ("0120", TheoremId.BETA_ETA, None, None, [
+            "family word bordered: per=3 < 4",
+            "eta=3, wanted |w|-5=-1",
+            "non-critical points [], wanted [1, 2, 2, 3]",
+        ]),
+        ("00", TheoremId.BETA_ETA, None, None, [
+            "family word not square-free",
+            "family word bordered: per=1 < 2",
+            "eta=1, wanted |w|-5=-3",
+            "non-critical points [], wanted [1, 2, 0, 1]",
+        ]),
+        (BETA_WORD, TheoremId.BETA_ETA, [3] + local_periods(BETA_WORD)[1:], 23,
+         ["p=1: per(w,p)=3, u='102', wanted 2, '10'"]),
+        ("0120", TheoremId.WX_DENSITY, None, None, [
+            "n=1: eta=3, wanted |x|+3=2",
+            "n=1: eta/|w| is not exactly 1/4 + 1/|w|",
+            "n=1: critical interval (1, 3), wanted (2, 3)",
+        ]),
+        ("0000", TheoremId.WX_DENSITY, None, None, ["w_x for n=1 not square-free"]),
+    ],
+)
+def test_every_per_word_predicate_can_fail(w, tid, lp, per, details):
+    # a word's own local periods and period, or crafted ones where no
+    # word of the suite's universe breaks its theorem
+    if lp is None:
+        lp, per = local_periods(w), global_period(w)
+    assert _check_word(w, (tid,), lp, per, "") == [(tid, w, d) for d in details]
+
+
+ALPHA_LIKE_13 = "01" + "2" * 11  # unbordered, 01 only as its prefix
+
+
+@pytest.mark.parametrize(
+    "words, found",
+    [
+        ([verify_module.ALPHA_WORD, ALPHA_LIKE_13 + "2"],
+         [(ALPHA_LIKE_13 + "2", "unbordered, unique 01 prefix, length 14 > 13")]),
+        (["012"], [("", "search topped out at length 3 < 13")]),
+        ([verify_module.ALPHA_WORD, ALPHA_LIKE_13],
+         [(ALPHA_LIKE_13, "unexpected maximal witness")]),
+        ([ALPHA_LIKE_13], [(verify_module.ALPHA_WORD, "expected witness not found"),
+                           (ALPHA_LIKE_13, "unexpected maximal witness")]),
+    ],
+)
+def test_alpha_extremal_fails_on_any_other_search(monkeypatch, words, found):
+    monkeypatch.setattr(verify_module, "_walk", lambda *args: iter(words))
+    report = verify_alpha_extremal()
+    assert (report.verdict, report.tested, report.counterexamples) == ("FAIL", len(words), found)
+
+
+def test_alpha_extremal_refuses_a_search_past_its_cap(monkeypatch):
+    # the 01-constrained search reaches length 14
+    monkeypatch.setattr(verify_module, "_ALPHA_SEARCH_CAP", 13)
+    with pytest.raises(ResourceGuard, match="^01-constrained search ran past the expected depth$"):
+        verify_alpha_extremal()
+
+
+def test_only_per_word_predicates_are_checked_word_by_word():
+    with pytest.raises(RangeError, match="^alpha-extremal is not checked word by word$"):
+        _check_word("012", (TheoremId.ALPHA_EXTREMAL,), [1, 1], 3, "")
 
 
 def test_check_word_flags_violations():
@@ -378,13 +456,13 @@ def test_random_extension_needs_a_length_range(opts):
 
 
 def test_random_words_count_against_the_ceiling(monkeypatch):
-    # 6 + 12 square-free words of lengths 2..3, plus 3 random ones
-    monkeypatch.setenv("CRITFACT_MAX_WORDS", "21")
+    # 1 + 3 + 6 + 12 square-free words of lengths 0..3, plus 3 random ones
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "25")
     opts = VerifyOptions(random_count=3, random_min=4, random_max=5)
     assert verify(TheoremId.MIDPOINT, 2, 3, opts).tested == 21
     monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
-    monkeypatch.setenv("CRITFACT_MAX_WORDS", "20")
-    with pytest.raises(ResourceGuard, match="exceed the ceiling 20"):
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "24")
+    with pytest.raises(ResourceGuard, match="^at least 25 words to grow exceed the ceiling 24$"):
         verify(TheoremId.MIDPOINT, 2, 3, opts)
 
 
@@ -557,12 +635,12 @@ def test_checked_runs_scan_every_position_at_once(monkeypatch):
 
 
 def test_problem2_keeps_its_cumulative_word_ceiling(monkeypatch):
-    # the walk visits all 18 + 30 + 42 + 60 + 78 = 228 square-free words
-    # of lengths 4..8, and the pre-count counts every one of them
-    monkeypatch.setenv("CRITFACT_MAX_WORDS", "228")
+    # the walk grows all 1 + 3 + 6 + 12 + 18 + 30 + 42 + 60 + 78 = 250
+    # square-free words of lengths 0..8, and the pre-count counts every one
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "250")
     assert [row["tested"] for row in explore_problem2(8)["lengths"]] == [18, 78]
-    monkeypatch.setenv("CRITFACT_MAX_WORDS", "227")
-    with pytest.raises(ResourceGuard, match="^at least 228 words to test exceed the ceiling 227$"):
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "249")
+    with pytest.raises(ResourceGuard, match="^at least 250 words to grow exceed the ceiling 249$"):
         explore_problem2(8)
 
 
@@ -588,8 +666,8 @@ def test_problem2_keeps_every_exact_witness_whatever_the_minimum(monkeypatch):
 
 def test_problem2_refused_by_the_word_ceiling_runs_no_chunk(monkeypatch):
     monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
-    monkeypatch.setenv("CRITFACT_MAX_WORDS", "227")
-    with pytest.raises(ResourceGuard, match="^at least 228 words to test exceed the ceiling 227$"):
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "249")
+    with pytest.raises(ResourceGuard, match="^at least 250 words to grow exceed the ceiling 249$"):
         explore_problem2(8)
     monkeypatch.delenv("CRITFACT_MAX_WORDS")
     with pytest.raises(ResourceGuard, match="^max length 5001 exceeds the profile ceiling 5000$"):
@@ -610,9 +688,9 @@ def test_problem2_walks_the_depth_3_prefixes_in_order(monkeypatch):
 
 
 def test_problem2_counts_to_the_first_length_past_the_ceiling(monkeypatch):
-    # lengths 4..13 hold 1,290 square-free words, lengths 4..12 only 948
+    # lengths 0..13 hold 1,312 square-free words, lengths 0..12 only 970
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "1000")
-    with pytest.raises(ResourceGuard, match="^at least 1290 words to test exceed the ceiling 1000$"):
+    with pytest.raises(ResourceGuard, match="^at least 1312 words to grow exceed the ceiling 1000$"):
         explore_problem2(5000)
 
 
@@ -620,34 +698,33 @@ def test_word_ceilings_are_counted_by_the_shared_iterator(monkeypatch, capsys):
     counts_by_length = squarefree_module._counts_by_length
     seen = []
 
-    def spy(max_len, alphabet):
+    def spy(max_len, alphabet, extra=0):
         seen.append(max_len)
-        return counts_by_length(max_len, alphabet)
+        return counts_by_length(max_len, alphabet, extra)
 
-    for module in (squarefree_module, verify_module):
+    for module in (squarefree_module, verify_module, cli_module):
         monkeypatch.setattr(module, "_counts_by_length", spy)
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "10")
-    with pytest.raises(ResourceGuard, match="^enumeration exceeded the ceiling of 10 words$"):
+    # lengths 0..3 hold 1 + 3 + 6 + 12 words, and every run counts from
+    # length 0, so each stops at length 3 with one message
+    message = "at least 22 words to grow exceed the ceiling 10"
+    with pytest.raises(ResourceGuard, match=f"^{message}$"):
         count_square_free(12)
     # the listing counts first, so it stops at length 3 too
     assert cli_module.run(["enumerate", "--n", "12"]) == 2
-    assert capsys.readouterr().err == (
-        "critfact: error: enumeration exceeded the ceiling of 10 words\n"
-    )
-    # lengths below the range are not counted, but none past the
-    # ceiling is grown: length 3 holds 12 words
-    with pytest.raises(ResourceGuard, match="^12 square-free words of length 3 exceed the ceiling 10$"):
+    assert capsys.readouterr().err == f"critfact: error: {message}\n"
+    with pytest.raises(ResourceGuard, match=f"^{message}$"):
         explore_problem2(8)
-    with pytest.raises(ResourceGuard, match="^at least 18 words to test exceed the ceiling 10$"):
+    with pytest.raises(ResourceGuard, match=f"^{message}$"):
         verify(TheoremId.MIDPOINT, 2, 12)
     assert seen == [12, 12, 8, 12]
 
 
 def test_range_suites_count_to_the_first_length_past_the_ceiling(monkeypatch):
-    # lengths 2..13 hold 1,308 square-free words, lengths 2..12 only 966
+    # lengths 0..13 hold 1,312 square-free words, lengths 0..12 only 970
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "1000")
     monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
-    with pytest.raises(ResourceGuard, match="^at least 1308 words to test exceed the ceiling 1000$"):
+    with pytest.raises(ResourceGuard, match="^at least 1312 words to grow exceed the ceiling 1000$"):
         verify(TheoremId.MIDPOINT, 2, 5000)
 
 
@@ -661,11 +738,34 @@ def test_counts_grow_no_length_past_the_word_ceiling(monkeypatch):
 
     monkeypatch.setattr(squarefree_module, "extend_square_free", short_only)
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "10000")
-    pattern = "^[0-9]+ square-free words of length [0-9]+ exceed the ceiling 10000$"
-    with pytest.raises(ResourceGuard, match=pattern):
+    # lengths 0..20 hold 9,838 square-free words, lengths 0..21 13,018
+    message = "^at least 13018 words to grow exceed the ceiling 10000$"
+    with pytest.raises(ResourceGuard, match=message):
         verify(TheoremId.UPPER_BOUND, 4000, 4000)
-    with pytest.raises(ResourceGuard, match="^enumeration exceeded the ceiling of 10000 words$"):
+    with pytest.raises(ResourceGuard, match=message):
         count_square_free(4000)
+
+
+def test_runs_past_the_word_ceiling_grow_few_words(monkeypatch, capsys):
+    # lengths 0..21 hold 13,018 square-free words: growing them takes
+    # 3 * 9,837 + 3 letter tests, where a ceiling on one length's words
+    # would grow to length 26 first
+    extend = squarefree_module.extend_square_free
+    calls = []
+
+    def counted(w, a):
+        calls.append(w)
+        return extend(w, a)
+
+    monkeypatch.setattr(squarefree_module, "extend_square_free", counted)
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "10000")
+    assert cli_module.run(["verify", "upper-bound", "--min", "4000", "--max", "4000"]) == 2
+    assert len(calls) <= 30000
+    assert capsys.readouterr().err.startswith("critfact: error: at least 13018 words")
+    calls.clear()
+    with pytest.raises(ResourceGuard, match="^at least 13018 words"):
+        count_square_free(4000)
+    assert len(calls) <= 30000
 
 
 def test_problem1_checks_the_profile_ceiling_before_it_searches(monkeypatch):
