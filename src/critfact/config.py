@@ -13,13 +13,14 @@ must hold a positive integer; any other value raises RangeError.
 
 These fields are the only limits: no suite or search keeps a cap of its
 own.  Every word a run will grow, each length from 0 up and any random
-words, is counted against the word ceiling before the walk, which a run
-past it never starts; only ``explore problem1``, whose search stops at
-each length's first witness, holds its running total to it as it goes.
+words, is held to the word ceiling by ``_hold_words``: before the walk
+in the range suites, so a run past it never starts, and word by word in
+``explore problem1``, whose search stops at each length's first witness.
 """
 
 import os
 from dataclasses import dataclass, fields
+from typing import Callable
 
 from .errors import RangeError, ResourceGuard
 
@@ -71,3 +72,18 @@ def _check_profile_len(n: int, label: str) -> None:
     cap = DEFAULT_LIMITS.max_profile_len
     if n > cap:
         raise ResourceGuard(f"{label} {n} exceeds the profile ceiling {cap}")
+
+
+def _hold_words(extra: int = 0) -> Callable[[int], None]:
+    """A check that adds each count it is given to a running total of the
+    words a run will grow, from ``extra``, and raises ResourceGuard
+    naming it once it passes the word ceiling, ``CRITFACT_MAX_WORDS``."""
+    ceiling, total = DEFAULT_LIMITS.max_words, extra
+
+    def hold(size: int) -> None:
+        nonlocal total
+        total += size
+        if total > ceiling:
+            raise ResourceGuard(f"at least {total} words to grow exceed the ceiling {ceiling}")
+
+    return hold

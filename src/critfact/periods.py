@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from .config import _check_profile_len
 from .errors import InvalidPeriod, InvalidPosition, RangeError, TooShort
-from .words import border_array
+from .words import global_period
 
 
 def _least_local_period(w: str, p: int, q: int = 1) -> int:
@@ -247,7 +247,7 @@ def local_periods(w: str) -> list[int]:
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
-    per = n - border_array(w)[-1]
+    per = global_period(w)
     out = []
     for p in range(1, n):
         lim = p if 2 * p <= n else n - p
@@ -348,7 +348,7 @@ def profile(w: str) -> PeriodProfile:
         raise TooShort(f"need |w| >= 2, got {n}")
     _check_profile_len(n, "|w| =")
     lp = local_periods(w)
-    per = n - border_array(w)[-1]
+    per = global_period(w)
     crit = tuple(_critical_points(lp, per))
     return PeriodProfile(w, per, tuple(lp), crit, len(crit), (n + 1) // 2)
 
@@ -398,17 +398,6 @@ def is_unimodal(prof: PeriodProfile) -> bool:
 def profile_json_dict(prof: PeriodProfile) -> dict:
     """Profile as a JSON-ready dict, the documented wire format."""
     w = prof.word
-    reps = []
-    for p in range(1, len(w)):
-        info = _rebuild_repetition(w, p, prof.local_periods[p - 1])
-        reps.append(
-            {
-                "p": p,
-                "u": info.u,
-                "leftOverflow": info.left_overflow,
-                "rightOverflow": info.right_overflow,
-            }
-        )
     return {
         "word": w,
         "period": prof.period,
@@ -418,7 +407,10 @@ def profile_json_dict(prof: PeriodProfile) -> dict:
         "densityNum": prof.eta,
         "densityDen": len(w) - 1,
         "midpoint": prof.midpoint,
-        "repetitionWords": reps,
+        "repetitionWords": [
+            {"p": p, "u": u, "leftOverflow": left, "rightOverflow": right}
+            for p, _, u, left, right, _ in profile_csv_rows(prof)
+        ],
     }
 
 

@@ -34,10 +34,10 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .config import DEFAULT_LIMITS, _check_profile_len
+from .config import _check_profile_len, _hold_words
 from .errors import EmptyFactor, RangeError, ResourceGuard
 from .periods import _extend_local_periods
-from .words import TERNARY, border_array
+from .words import TERNARY, _check_alphabet, border_array
 
 # find_square stays the canonical route below this length; has_square
 # takes over where the quadratic scan gets slow.
@@ -209,13 +209,14 @@ def square_free_range(
     incremental suffix checks.
 
     ``prefix`` restricts the walk to extensions of a (square-free)
-    stem; useful for partitioning work across processes.  A non-square-
-    free prefix yields nothing.  Raises RangeError for negative lengths,
-    and ResourceGuard before the walk when ``max_len`` exceeds the
-    profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
+    stem; only tests pass one.  A non-square-free prefix yields nothing.
+    Raises RangeError for negative lengths or a bad alphabet, and
+    ResourceGuard before the walk when ``max_len`` exceeds the profile
+    ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
     """
     if min(min_len, max_len) < 0:
         raise RangeError(f"need lengths >= 0, got {min_len}..{max_len}")
+    _check_alphabet(alphabet)
     _check_profile_len(max_len, "max length")
     if min_len > max_len or len(prefix) > max_len or not is_square_free(prefix):
         return iter(())
@@ -230,34 +231,20 @@ def square_free_words(
     return square_free_range(n, n, alphabet, prefix)
 
 
-def _hold_words(extra: int = 0) -> Callable[[int], None]:
-    """A check that adds each length's words to a running total of the
-    words a run will grow, from ``extra``, and raises ResourceGuard
-    naming it once it passes the word ceiling, ``CRITFACT_MAX_WORDS``."""
-    ceiling, total = DEFAULT_LIMITS.max_words, extra
-
-    def hold(size: int) -> None:
-        nonlocal total
-        total += size
-        if total > ceiling:
-            raise ResourceGuard(f"at least {total} words to grow exceed the ceiling {ceiling}")
-
-    return hold
-
-
 def _counts_by_length(max_len: int, alphabet: str, extra: int = 0) -> tuple[list[int], list[str]]:
     """The number of square-free words over ``alphabet`` of each length
     0..``max_len``, and the words of length ``max_len`` in lexicographic
     order.  Length 1 comes from ``square_free_words`` and each longer
     length from the words of the one before, grown by
     ``extend_square_free``, so no more than two lengths' words are held
-    at once.  Raises RangeError for a negative length and ResourceGuard
-    when ``max_len`` passes the profile ceiling, both before the first
-    word, and ``_hold_words`` at the first length at which ``extra``
-    plus the words grown pass the word ceiling.
+    at once.  Raises RangeError for a negative length or a bad alphabet
+    and ResourceGuard when ``max_len`` passes the profile ceiling, all
+    before the first word, and ``_hold_words`` at the first length at
+    which ``extra`` plus the words grown pass the word ceiling.
     """
     if max_len < 0:
         raise RangeError(f"need length >= 0, got {max_len}")
+    _check_alphabet(alphabet)
     _check_profile_len(max_len, "max length")
     words, counts, hold = [""], [], _hold_words(extra)
     for n in range(max_len + 1):

@@ -8,7 +8,7 @@ whatever it would have concluded; ``explore_problem2`` raises
 CritfactError.  Walked words step local periods down from their
 parent's with the trie step and come with per(w) from the walk's border
 array; chunk prefixes, family words and random words take
-``local_periods``, the direct route for one word, and ``border_array``.
+``local_periods``, the direct route for one word, and ``global_period``.
 No checked run builds a ``PeriodProfile``: the predicates read the local
 periods, per(w), the midpoint and the critical points directly.
 
@@ -48,7 +48,7 @@ from itertools import islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
-from .config import DEFAULT_LIMITS, _check_profile_len
+from .config import _check_profile_len, _hold_words
 from .errors import CritfactError, RangeError, ResourceGuard
 from .periods import (
     _critical_interval,
@@ -60,7 +60,6 @@ from .periods import (
 )
 from .squarefree import (
     _counts_by_length,
-    _hold_words,
     _walk,
     extend_square_free,
     is_square_free,
@@ -68,7 +67,7 @@ from .squarefree import (
     square_free_words,
 )
 from .thue import beta_family, construct_wx, x_n
-from .words import TERNARY, border_array
+from .words import TERNARY, _check_alphabet, _has_border, global_period
 
 
 class TheoremId(str, Enum):
@@ -165,7 +164,7 @@ def _checked(
     local periods, per(word), detail), where detail is "" when the
     periods agree with the scan of the word and names the disagreement
     otherwise.  A word the walk did not step to comes with None for both
-    and takes ``local_periods`` and ``border_array``.  A slice of at most
+    and takes ``local_periods`` and ``global_period``.  A slice of at most
     ``_SCAN_SLICE`` words is grouped by length, each group scanned in one
     block call."""
     words = iter(words)
@@ -180,26 +179,11 @@ def _checked(
         for w, lp, per in batch:
             scan = next(scans[len(w)])
             if lp is None:
-                lp, per = local_periods(w), len(w) - border_array(w)[-1]
+                lp, per = local_periods(w), global_period(w)
             if lp == scan:
                 yield w, lp, per, ""
             else:
                 yield w, lp, per, f"local-period routes disagree: trie={lp} scan={scan}"
-
-
-def _has_border(u: str) -> bool:
-    """Whether ``u`` has a nonempty proper border.  The shortest border
-    of a bordered word is unbordered, so it is at most half as long: a
-    border of length k <= |u|//2 is the suffix from j = |u|-k, which
-    starts with u[0], so ``find`` jumps to those j and ``startswith``
-    tests each."""
-    q = len(u)
-    j = u.find(u[0], q - q // 2)
-    while j != -1:
-        if u.startswith(u[j:]):
-            return True
-        j = u.find(u[0], j + 1)
-    return False
 
 
 def _check_word(
@@ -326,14 +310,16 @@ def _run_chunk(payload):
 def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, extra: int) -> None:
     """Hold each length 0..``max_len`` of the universe, k^n words over k
     letters or the square-free ones as ``_counts_by_length`` grows them,
-    plus ``extra`` random words, to the word ceiling, length by length,
-    so the total named stays near it.  Raises RangeError when the
-    square-free universe, which is prefix-closed, holds no word of
-    length ``min_len``, so that no suite passes on zero words tested."""
+    plus ``extra`` random words, to the word ceiling, length by length
+    so the total named stays near it, and ``max_len`` to the profile
+    ceiling.  Raises RangeError when the square-free universe, which is
+    prefix-closed, holds no word of length ``min_len``, so that no suite
+    passes on zero words tested."""
     if _ACCEPT[universe] is None:
         hold = _hold_words(extra)
         for n in range(max_len + 1):
             hold(len(alphabet) ** n)
+        _check_profile_len(max_len, "max length")  # every word is profiled
     elif not _counts_by_length(max_len, alphabet, extra)[0][min_len]:
         raise RangeError(
             f"the {universe} universe over {alphabet!r} holds no word of length {min_len}"
@@ -347,9 +333,6 @@ def _run_universe(fold, arg, universe, alphabet, min_len, max_len, jobs=1, extra
     word ceiling and ``max_len`` to the profile ceiling.  Chunks
     run on a pool of at most ``jobs`` processes."""
     _count_universe(universe, alphabet, min_len, max_len, extra)
-    # every word is profiled; a square-free count walk has raised this already
-    _check_profile_len(max_len, "max length")
-
     depth = min(3, min_len)
     prefixes = _walk("", depth, depth, alphabet, _ACCEPT[universe])
     chunks = [(fold, arg, universe, alphabet, min_len, max_len, pre) for pre in prefixes]
@@ -364,12 +347,13 @@ def random_square_free(length: int, rng: random.Random, alphabet: str = TERNARY)
     """A pseudo-random square-free word of the given length, by iterative
     depth-first search that tries the letters at each depth in random
     order and backtracks from dead ends.  Raises RangeError for a
-    negative length, or when no square-free word of that length exists
-    over ``alphabet``, and ResourceGuard for a length past the profile
-    ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
+    negative length, a bad alphabet, or when no square-free word of that
+    length exists over ``alphabet``, and ResourceGuard for a length past
+    the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
     """
     if length < 0:
         raise RangeError(f"need length >= 0, got {length}")
+    _check_alphabet(alphabet)
     _check_profile_len(length, "length")
     w = ""
     untried = [rng.sample(alphabet, len(alphabet))]  # per depth, random order
@@ -418,8 +402,7 @@ def verify_many(
     if len(universes) > 1:
         raise RangeError("cannot share one enumeration across different universes")
     universe = universes.pop()
-    if not opts.alphabet or len(set(opts.alphabet)) != len(opts.alphabet):
-        raise RangeError(f"need a nonempty alphabet of distinct letters, got {opts.alphabet!r}")
+    _check_alphabet(opts.alphabet)
     if opts.jobs < 1:
         raise RangeError(f"need jobs >= 1, got {opts.jobs}")
     if not 2 <= min_len <= max_len:
@@ -505,7 +488,7 @@ def verify_alpha_extremal() -> VerificationReport:
         tested += 1
         if len(w) > _ALPHA_SEARCH_CAP:
             raise ResourceGuard("01-constrained search ran past the expected depth")
-        if border_array(w)[-1] == 0:
+        if not _has_border(w):
             by_len.setdefault(len(w), []).append(w)
     top = max(by_len)
     counterexamples = []
@@ -581,22 +564,19 @@ def explore_problem1(len_min: int, len_max: int) -> dict:
 
     ``len_max`` may not pass the profile ceiling, checked before the
     first length.  Each length's search stops at its first witness, so
-    the words searched cannot be counted ahead: the running total is
-    held to the word ceiling, ``CRITFACT_MAX_WORDS``, as it grows."""
+    the words searched cannot be counted ahead: each x is held to the
+    word ceiling, ``CRITFACT_MAX_WORDS``, as it is searched."""
     if not 1 <= len_min <= len_max:
         raise RangeError(f"need 1 <= min <= max, got {len_min}..{len_max}")
     _check_profile_len(len_max, "max length")
-    ceiling = DEFAULT_LIMITS.max_words
-    searched_total = 0
+    hold = _hold_words()
     rows = []
     for length in range(len_min, len_max + 1):
         witness = None
         searched = 0
         for x in square_free_words(length):
             searched += 1
-            searched_total += 1
-            if searched_total > ceiling:
-                raise ResourceGuard(f"search exceeded the ceiling of {ceiling} words")
+            hold(1)
             if is_square_free(construct_wx(x)):
                 witness = x
                 break

@@ -9,7 +9,7 @@ pure; words never mutate.
 
 from __future__ import annotations
 
-from .errors import AlphabetError, EmptyWord
+from .errors import AlphabetError, EmptyWord, RangeError
 
 TERNARY = "012"
 BINARY = "01"
@@ -28,6 +28,12 @@ def parse_word(text: str, alphabet: str = TERNARY) -> str:
                 f"character {ch!r} at index {i + 1} is not in alphabet {alphabet!r}"
             )
     return text
+
+
+def _check_alphabet(alphabet: str) -> None:
+    """Raise RangeError unless ``alphabet`` is nonempty, of distinct letters."""
+    if not alphabet or len(set(alphabet)) != len(alphabet):
+        raise RangeError(f"need a nonempty alphabet of distinct letters, got {alphabet!r}")
 
 
 def border_array(w: str) -> list[int]:
@@ -60,11 +66,26 @@ def global_period(w: str) -> int:
     return len(w) - border_array(w)[-1]
 
 
+def _has_border(u: str) -> bool:
+    """Whether the nonempty word ``u`` has a nonempty proper border.  The
+    shortest border of a bordered word is unbordered, so it is at most
+    half as long: a border of length k <= |u|//2 is the suffix from
+    j = |u|-k, which starts with u[0], so ``find`` jumps to those j and
+    ``startswith`` tests each."""
+    q = len(u)
+    j = u.find(u[0], q - q // 2)
+    while j != -1:
+        if u.startswith(u[j:]):
+            return True
+        j = u.find(u[0], j + 1)
+    return False
+
+
 def is_unbordered(w: str) -> bool:
     """True iff ``w`` has no nonempty proper border, i.e. per(w) = |w|."""
     if not w:
         raise EmptyWord("the empty word is neither bordered nor unbordered")
-    return border_array(w)[-1] == 0
+    return not _has_border(w)
 
 
 def reverse(w: str) -> str:

@@ -19,8 +19,8 @@ from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods, local_periods_scan
 from critfact.squarefree import count_square_free, find_square, is_square_free, square_free_words
 from critfact.thue import x_n
-from critfact.verify import _check_word, _check_words, _has_border
-from critfact.words import global_period
+from critfact.verify import _check_word, _check_words
+from critfact.words import _has_border, global_period
 
 from conftest import all_words, brute_border
 
@@ -775,6 +775,43 @@ def test_problem1_checks_the_profile_ceiling_before_it_searches(monkeypatch):
     monkeypatch.setattr(verify_module, "square_free_words", refuse)
     with pytest.raises(ResourceGuard, match="^max length 5001 exceeds the profile ceiling 5000$"):
         explore_problem1(1, 5001)
+
+
+def test_problem1_holds_each_searched_word_to_the_word_ceiling(monkeypatch, capsys):
+    # lengths 1..12 search 916 x and length 13 has no witness, so the
+    # 1001st x searched takes the run past a ceiling of 1000
+    construct = verify_module.construct_wx
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return construct(x)
+
+    monkeypatch.setattr(verify_module, "construct_wx", counted)
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "1000")
+    message = "at least 1001 words to grow exceed the ceiling 1000"
+    with pytest.raises(ResourceGuard, match=f"^{message}$"):
+        explore_problem1(1, 30)
+    assert len(calls) <= 1001
+    calls.clear()
+    assert cli_module.run(["explore", "problem1", "--max", "30"]) == 2
+    assert capsys.readouterr().err == f"critfact: error: {message}\n"
+    assert len(calls) <= 1001
+
+
+def test_every_entry_refuses_a_bad_alphabet():
+    # over a repeated letter an entry would count or list words twice
+    calls = (
+        ("0012", lambda a: count_square_free(3, a)),
+        ("010", lambda a: list(square_free_words(2, a))),
+        ("001", lambda a: random_square_free(4, random.Random(0), a)),
+        ("", lambda a: count_square_free(3, a)),
+        ("00", lambda a: verify(TheoremId.CFT, 2, 3, VerifyOptions(alphabet=a))),
+    )
+    for alphabet, call in calls:
+        message = f"need a nonempty alphabet of distinct letters, got {alphabet!r}"
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            call(alphabet)
 
 
 def test_wx_density_checks_each_word_as_it_is_built(monkeypatch):
