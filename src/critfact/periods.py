@@ -24,8 +24,15 @@ The minimal local period is computed by three routes:
 * ``local_periods``: the direct route for one word, for ``profile`` and
   every other single-word caller.  At each position it splits the
   candidates q into the four ranges of the scan's window (a square
-  centred at the cut, y inside x, x inside y, a period of w) and finds
-  the least q of each range with ``str.find``, or takes per(w).
+  centred at the cut, y inside x, x inside y, a period of w).  The
+  first range is searched only in a word that has a square, since a
+  square-free word has none centred anywhere.  The middle two come from
+  two pointers that only move forward, one over w and one over its
+  mirror image: the least later occurrence of each prefix, for x inside
+  y, and of each suffix, for y inside x.  An occurrence close enough to
+  fall in the first range would make a square centred at the cut, so
+  the pointers answer wherever the first range does not.  The last
+  range is per(w).
 
 The scan shares no code with the two fast routes, and all three must
 agree everywhere; the verification suites and ``explore problem2``
@@ -230,37 +237,75 @@ def _least_centred_root(w: str, p: int, lim: int) -> int:
     return 0
 
 
+def _first_recurrences(w: str, top: int) -> list[int]:
+    """For l = 1..``top``, the least d >= 1 with w[d:d+l] == w[:l], or 0
+    if the prefix of length l does not occur again.
+
+    That least d never decreases as l grows, so one pointer serves every
+    l: it stays while the letter after the last match still agrees,
+    w[d+l-1] == w[l-1], and otherwise moves on with ``find`` of w[:l]
+    from d+1.  Once a prefix has no second occurrence, no longer prefix
+    has one, so the first miss ends the pass.
+    """
+    n = len(w)
+    first = []
+    d = 0
+    for l in range(1, top + 1):
+        if not d or d + l > n or w[d + l - 1] != w[l - 1]:
+            d = w.find(w[:l], d + 1)
+            if d < 0:
+                break
+        first.append(d)
+    first += [0] * (top - len(first))
+    return first
+
+
 def local_periods(w: str) -> list[int]:
     """Minimal local periods at every position 1..|w|-1, by the direct
-    route.
-
-    At p, with x = w[:p] and y = w[p:], the scan's window splits the
-    candidates q into four ranges, taken in increasing order of q:
-    q <= min(p, |w|-p) is a square centred at p; |w|-p < q <= p puts y
-    inside x at p-q (the last occurrence, by ``rfind``); p < q <= |w|-p
-    puts x inside y at q (the first, by ``find``); and q > max(p, |w|-p)
-    is a period of w.  Every period of w is a local period everywhere,
-    so the first three ranges find per(w) when it is at most
-    max(p, |w|-p), and the last range is reached only when it is not:
-    its least period is then per(w) itself.
+    route; ``_local_periods`` has the method.
     """
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
-    per = global_period(w)
-    out = []
-    for p in range(1, n):
-        lim = p if 2 * p <= n else n - p
-        q = _least_centred_root(w, p, lim)
-        if not q and 2 * p > n:
-            i = w.rfind(w[p:], 0, p - 1)
-            if i >= 0:
-                q = p - i
-        elif not q and 2 * p < n:
-            i = w.find(w[:p], p + 1)
-            if i >= 0:
-                q = i
-        out.append(q or per)
+    return _local_periods(w, global_period(w))
+
+
+def _local_periods(w: str, per: int) -> list[int]:
+    """Minimal local periods of ``w`` (|w| >= 2) at every position, given
+    its global period ``per``.
+
+    At p, with x = w[:p] and y = w[p:], the scan's window splits the
+    candidates q into four ranges, taken in increasing order of q:
+    q <= min(p, |w|-p) is a square centred at p; |w|-p < q <= p puts y
+    inside x at p-q; p < q <= |w|-p puts x inside y at q; and
+    q > max(p, |w|-p) is a period of w.  Every period of w is a local
+    period everywhere, so the first three ranges find per(w) when it is
+    at most max(p, |w|-p), and the last range is reached only when it is
+    not: its least period is then per(w) itself.
+
+    A square-free word has no square centred anywhere, so the first
+    range is searched, position by position, only when
+    ``is_square_free`` says that w has a square.  The middle two come
+    from ``_first_recurrences``: at 2p < |w| from the least d >= 1 at
+    which x occurs again, and at 2p > |w| from the same pass over the
+    mirror image, whose prefix of length |w|-p is y reversed.  That d
+    is the answer of its range whenever the first range has none: an
+    occurrence at d <= p would give w[:p+d] the period d, hence the
+    square w[p-d:p+d] of root d <= min(p, |w|-p) centred at p.
+    """
+    from .squarefree import is_square_free  # squarefree imports the trie step
+
+    n = len(w)
+    half = (n - 1) // 2
+    out = [d or per for d in _first_recurrences(w, half)]
+    if not n % 2:
+        out.append(per)
+    out += [d or per for d in reversed(_first_recurrences(w[::-1], half))]
+    if not is_square_free(w):
+        for p in range(1, n):
+            r = _least_centred_root(w, p, min(p, n - p))
+            if r:
+                out[p - 1] = r
     return out
 
 
@@ -347,8 +392,8 @@ def profile(w: str) -> PeriodProfile:
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
     _check_profile_len(n, "|w| =")
-    lp = local_periods(w)
     per = global_period(w)
+    lp = _local_periods(w, per)
     crit = tuple(_critical_points(lp, per))
     return PeriodProfile(w, per, tuple(lp), crit, len(crit), (n + 1) // 2)
 

@@ -32,7 +32,8 @@ from critfact import (
     x_n,
 )
 from critfact import periods as periods_module
-from critfact.periods import _extend_local_periods
+from critfact import words as words_module
+from critfact.periods import _extend_local_periods, _first_recurrences
 from critfact.squarefree import _walk, square_free_words
 
 from conftest import all_words, brute_local_period, repetition_candidates
@@ -197,9 +198,33 @@ def test_direct_route_finds_planted_centred_squares():
 
 
 def test_direct_route_equals_scan_on_long_family_words():
-    for w in (m_prefix(1200), construct_wx(x_n(4)), beta_n(5)):
+    for w in (m_prefix(1200), construct_wx(x_n(4)), beta_n(5), construct_wx(x_n(6))):
         assert len(w) >= 1000
         assert local_periods(w) == local_periods_scan(w)
+
+
+def test_square_free_words_search_no_centred_square(monkeypatch):
+    def refuse(w, p, lim):
+        raise AssertionError("a centred square was searched in a square-free word")
+
+    monkeypatch.setattr(periods_module, "_least_centred_root", refuse)
+    for w in (
+        m_prefix(2000),
+        construct_wx(x_n(4)),
+        beta_n(5),
+        random_square_free(1000, random.Random(4), "0123"),
+    ):
+        assert local_periods(w) == local_periods_scan(w)
+    assert profile(m_prefix(1000)).period > 500
+    assert verify_wx_density(3).verdict == "PASS"
+
+
+def test_first_recurrences_equal_a_find_per_prefix_exhaustively():
+    for alphabet, top in (("012", 9), ("01", 13)):
+        for n in range(1, top + 1):
+            for w in all_words(n, alphabet):
+                wanted = [max(w.find(w[:l], 1), 0) for l in range(1, n + 1)]
+                assert _first_recurrences(w, n) == wanted, w
 
 
 def test_direct_route_equals_scan_on_repetitive_words():
@@ -350,6 +375,20 @@ def test_profile_example3(example3):
     assert list(prof.local_periods) == [3, 6, 6, 12, 12, 12, 12] + [24] * 12 + [14, 14, 6, 2]
     assert prof.eta == 12
     assert is_unimodal(prof)
+
+
+def test_profile_reads_the_global_period_once(monkeypatch):
+    calls = []
+    border_array = words_module.border_array
+
+    def counted(w):
+        calls.append(len(w))
+        return border_array(w)
+
+    monkeypatch.setattr(words_module, "border_array", counted)
+    prof = profile(m_prefix(1000))
+    assert calls == [1000]
+    assert list(prof.local_periods) == local_periods_scan(m_prefix(1000))
 
 
 def test_profile_too_short():
