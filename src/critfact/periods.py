@@ -17,10 +17,11 @@ The minimal local period is computed by three routes:
   (``local_periods_scan``, which also scans a block of same-length
   words laid end to end in one call); one position by the letter loop
   (``local_period``, ``is_local_period``).  This is the reference route.
-* ``_extend_local_periods``: the trie step, which derives the local
-  periods of w.a from those of w.  Only the walker of ``squarefree``
-  runs it, down the range-suite universes and the ``explore problem2``
-  search, where each word's parent has its periods already.
+* the trie step ``squarefree._extend_local_periods``, which derives
+  the local periods of w.a from those of w.  It lives beside the one
+  walker that runs it, ``squarefree._walk_periods``, down the
+  range-suite universes and the ``explore problem2`` search, where each
+  word's parent has its periods already.
 * ``local_periods``: the direct route for one word, for ``profile`` and
   every other single-word caller.  At each position it splits the
   candidates q into the four ranges of the scan's window (a square
@@ -52,6 +53,7 @@ from fractions import Fraction
 
 from .config import _check_profile_len
 from .errors import InvalidPeriod, InvalidPosition, RangeError, TooShort
+from .squarefree import is_square_free
 from .words import global_period
 
 
@@ -179,40 +181,6 @@ def local_periods_scan(w: str, block: int | None = None) -> list[int]:
     return flat
 
 
-def _extend_local_periods(s: str, lp: list[int]) -> list[int]:
-    """Minimal local periods of s = w.a, given ``lp``, those of the
-    nonempty word w: the trie step, run only by the walker of
-    ``squarefree``, one letter per step.  ``local_periods`` serves a
-    single word without it.
-
-    Appending a letter only enlarges each matching window, so
-    per(s, p) >= per(w, p).  At p < |w| the window of q = per(w, p)
-    gains the one index |w|-q exactly when q > |w|-p, and the search
-    resumes only if that letter differs from a.  Every larger candidate
-    q' has |w|-q' as the last index of its window, so only the q' that
-    put an earlier a there (found by ``rfind``) get a slice comparison
-    of the rest of the window; with no a left, q' = |s|, whose window is
-    empty.  At the new position p = |w| the window of q is that single
-    index, so per(s, |w|) is the distance back to the last a in w.
-    """
-    m = len(s) - 1
-    a = s[m]
-    out = lp[:]
-    for p in range(1, m):
-        q = out[p - 1]
-        if q > m - p and s[m - q] != a:
-            i = s.rfind(a, 0, m - q)
-            while i >= 0:
-                q = m - i
-                lo = p - q if p > q else 0
-                if s[lo:i] == s[lo + q : m]:
-                    break
-                i = s.rfind(a, 0, i)
-            out[p - 1] = m - i
-    out.append(m - s.rfind(a, 0, m))
-    return out
-
-
 def _least_centred_root(w: str, p: int, lim: int) -> int:
     """Least r <= ``lim`` with w[p-r:p] == w[p:p+r], a square centred at
     ``p``, or 0 if there is none.
@@ -293,8 +261,6 @@ def _local_periods(w: str, per: int) -> list[int]:
     occurrence at d <= p would give w[:p+d] the period d, hence the
     square w[p-d:p+d] of root d <= min(p, |w|-p) centred at p.
     """
-    from .squarefree import is_square_free  # squarefree imports the trie step
-
     n = len(w)
     half = (n - 1) // 2
     out = [d or per for d in _first_recurrences(w, half)]
@@ -338,14 +304,10 @@ def _repetition_word(w: str, p: int, q: int) -> str:
     return w[p:] + w[n - q : p]
 
 
-def _rebuild_repetition(w: str, p: int, q: int) -> RepetitionInfo:
-    """The minimal repetition word from q = per(w, p), with its overflow flags."""
-    return RepetitionInfo(_repetition_word(w, p, q), q, q > p, q > len(w) - p)
-
-
 def repetition_info(w: str, p: int) -> RepetitionInfo:
     """Minimal repetition word of ``w`` at position ``p``."""
-    return _rebuild_repetition(w, p, local_period(w, p))
+    q = local_period(w, p)
+    return RepetitionInfo(_repetition_word(w, p, q), q, q > p, q > len(w) - p)
 
 
 def midpoint(w: str) -> int:
@@ -463,11 +425,9 @@ def profile_csv_rows(prof: PeriodProfile) -> list[tuple]:
     """One row per position: (p, localPeriod, u, leftOverflow,
     rightOverflow, critical)."""
     w = prof.word
+    n = len(w)
     crit = set(prof.critical_points)
-    rows = []
-    for p in range(1, len(w)):
-        info = _rebuild_repetition(w, p, prof.local_periods[p - 1])
-        rows.append(
-            (p, info.length, info.u, info.left_overflow, info.right_overflow, p in crit)
-        )
-    return rows
+    return [
+        (p, q, _repetition_word(w, p, q), q > p, q > n - p, p in crit)
+        for p, q in enumerate(prof.local_periods, 1)
+    ]

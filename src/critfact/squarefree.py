@@ -15,11 +15,12 @@ has none.  Two detection routes are kept deliberately independent:
 
 ``is_square_free`` dispatches between them by length.
 
-One depth-first walker enumerates words; ``square_free_range`` and
+``_walk`` enumerates words depth first; ``square_free_range`` and
 ``square_free_words`` run it with ``extend_square_free`` as letter test.
-On request it also carries each word's local periods and its global
-period per(w) down the trie, so the range suites check a walked word
-from the walk's own state.
+``_walk_periods`` walks the same words and carries each one's local
+periods and its global period per(w) down the trie, by the trie step
+``_extend_local_periods`` and a Knuth-Morris-Pratt border step, so the
+range suites check a walked word from the walk's own state.
 
 Counts go breadth first instead: ``_counts_by_length`` grows each
 length's square-free words, in order, from the previous length's, and
@@ -36,7 +37,6 @@ from typing import Callable, Iterator
 
 from .config import _check_profile_len, _hold_words
 from .errors import EmptyFactor, RangeError, ResourceGuard
-from .periods import _extend_local_periods
 from .words import TERNARY, _check_alphabet, border_array
 
 # find_square stays the canonical route below this length; has_square
@@ -146,42 +146,78 @@ def extend_square_free(w: str, a: str) -> bool:
     return True
 
 
+def _extend_local_periods(s: str, lp: list[int]) -> list[int]:
+    """Minimal local periods of s = w.a, given ``lp``, those of the
+    nonempty word w: the trie step, run only by ``_walk_periods``, one
+    letter per step.  ``periods.local_periods`` serves a single word
+    without it.
+
+    Appending a letter only enlarges each matching window, so
+    per(s, p) >= per(w, p).  At p < |w| the window of q = per(w, p)
+    gains the one index |w|-q exactly when q > |w|-p, and the search
+    resumes only if that letter differs from a.  Every larger candidate
+    q' has |w|-q' as the last index of its window, so only the q' that
+    put an earlier a there (found by ``rfind``) get a slice comparison
+    of the rest of the window; with no a left, q' = |s|, whose window is
+    empty.  At the new position p = |w| the window of q is that single
+    index, so per(s, |w|) is the distance back to the last a in w.
+    """
+    m = len(s) - 1
+    a = s[m]
+    out = lp[:]
+    for p in range(1, m):
+        q = out[p - 1]
+        if q > m - p and s[m - q] != a:
+            i = s.rfind(a, 0, m - q)
+            while i >= 0:
+                q = m - i
+                lo = p - q if p > q else 0
+                if s[lo:i] == s[lo + q : m]:
+                    break
+                i = s.rfind(a, 0, i)
+            out[p - 1] = m - i
+    out.append(m - s.rfind(a, 0, m))
+    return out
+
+
 def _walk(
-    prefix: str,
-    min_len: int,
-    max_len: int,
-    alphabet: str,
+    prefix: str, min_len: int, max_len: int, alphabet: str,
     accept: Callable[[str, str], bool] | None = None,
-    lp: list[int] | None = None,
-) -> Iterator:
+) -> Iterator[str]:
     """Yield ``prefix`` and its extensions whose length lies in
     [min_len, max_len], depth first in pre-order, so each length comes
     out in lexicographic order of ``alphabet``.  A letter a extends w
     only when ``accept(w, a)`` holds; without ``accept`` every word is
     walked.  Iterative, so the depth is not bounded by recursion.
+    """
+    stack = [prefix]
+    while stack:
+        w = stack.pop()
+        if len(w) >= min_len:
+            yield w
+        if len(w) < max_len:
+            for a in reversed(alphabet):
+                if accept is None or accept(w, a):
+                    stack.append(w + a)
 
-    Given ``lp``, the local periods of a nonempty ``prefix``, it yields
-    ``(w, local periods of w, per(w))`` triples instead.  Each stack
-    entry carries its word's periods, stepped from its parent's by
-    ``periods._extend_local_periods``, and the longest border of its
+
+def _walk_periods(
+    prefix: str, min_len: int, max_len: int, alphabet: str,
+    accept: Callable[[str, str], bool] | None, lp: list[int],
+) -> Iterator[tuple[str, list[int], int]]:
+    """The words of ``_walk``, in its order, as ``(w, local periods of
+    w, per(w))`` triples, given ``lp``, the local periods of a nonempty
+    ``prefix``.
+
+    Each stack entry carries its word's periods, stepped from its
+    parent's by ``_extend_local_periods``, and the longest border of its
     word, found by one Knuth-Morris-Pratt failure step from the border
     array of the path down to its parent.  That array is shared by the
     whole walk and seeded with ``border_array(prefix)``: every entry on
     the stack extends a word on the current path, so when it is popped
     the array holds its parent's borders, and it writes its own over
-    those of the last subtree walked.  Without ``lp`` no step runs.
+    those of the last subtree walked.
     """
-    if lp is None:
-        stack = [prefix]
-        while stack:
-            w = stack.pop()
-            if len(w) >= min_len:
-                yield w
-            if len(w) < max_len:
-                for a in reversed(alphabet):
-                    if accept is None or accept(w, a):
-                        stack.append(w + a)
-        return
     step = _extend_local_periods
     path = border_array(prefix) + [0] * (max_len - len(prefix))
     stack = [(prefix, lp, path[len(prefix) - 1])]

@@ -5,12 +5,13 @@ comes from a fast route and meets the definitional scan in one place,
 ``_checked``, which scans each slice of the words, length by length, in
 block calls.  A suite reports a disagreement as a counterexample
 whatever it would have concluded; ``explore_problem2`` raises
-CritfactError.  Walked words step local periods down from their
-parent's with the trie step and come with per(w) from the walk's border
-array; chunk prefixes, family words and random words take
-``local_periods``, the direct route for one word, and ``global_period``.
-No checked run builds a ``PeriodProfile``: the predicates read the local
-periods, per(w), the midpoint and the critical points directly.
+CritfactError.  Walked words come from ``squarefree._walk_periods``,
+which steps their local periods down from their parent's with the trie
+step and takes per(w) from its border array; chunk prefixes, family
+words and random words take ``local_periods``, the direct route for one
+word, and ``global_period``.  No checked run builds a
+``PeriodProfile``: the predicates read the local periods, per(w), the
+midpoint and the critical points directly.
 
 Range suites (``verify`` / ``verify_many``) walk a word universe
 determined by the theorem:
@@ -24,14 +25,15 @@ They and ``explore_problem2`` run one engine, ``_run_universe``: it
 holds every word the run will grow to the word ceiling, walks the
 universe in chunks, one per word prefix, serially or across worker
 processes, and folds each chunk; the caller merges the folds in prefix
-order, so its result does not depend on the worker count.  Every walk, including
-the 01-constrained search of ``verify_alpha_extremal``, runs the one
-depth-first walker of ``squarefree``; the all-words universe runs it
-with no letter test.  A range in which the universe holds no word is
-refused, so no suite passes on zero words.  ``_check_word`` runs the
-per-word predicates of the range suites and of ``verify_beta_eta`` and
-``verify_wx_density``, whose predicates depend on the word alone;
-``_report`` builds every report.
+order, so its result does not depend on the worker count.  Each chunk
+runs ``_walk_periods``; the chunk prefixes and the 01-constrained
+search of ``verify_alpha_extremal`` run the plain walker ``_walk``,
+which yields words only.  Both take the letter test as an argument,
+and the all-words universe runs them with none.  A range in which the
+universe holds no word is refused, so no suite passes on zero words.
+``_check_word`` runs the per-word predicates of the range suites and of
+``verify_beta_eta`` and ``verify_wx_density``, whose predicates depend
+on the word alone; ``_report`` builds every report.
 
 The family suites and ``explore_problem1`` live here too.
 """
@@ -61,6 +63,7 @@ from .periods import (
 from .squarefree import (
     _counts_by_length,
     _walk,
+    _walk_periods,
     extend_square_free,
     is_square_free,
     overlaps_self,
@@ -303,8 +306,8 @@ def _run_chunk(payload):
     """``fold(walk, arg)`` of the walk below ``prefix``, seeded with
     ``local_periods(prefix)`` and stepped down the trie from there."""
     fold, arg, universe, alphabet, min_len, max_len, prefix = payload
-    walk = _walk(prefix, min_len, max_len, alphabet, _ACCEPT[universe], local_periods(prefix))
-    return fold(walk, arg)
+    lp = local_periods(prefix)
+    return fold(_walk_periods(prefix, min_len, max_len, alphabet, _ACCEPT[universe], lp), arg)
 
 
 def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, extra: int) -> None:

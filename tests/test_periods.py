@@ -32,9 +32,10 @@ from critfact import (
     x_n,
 )
 from critfact import periods as periods_module
+from critfact import squarefree as squarefree_module
 from critfact import words as words_module
-from critfact.periods import _extend_local_periods, _first_recurrences
-from critfact.squarefree import _walk, square_free_words
+from critfact.periods import _first_recurrences
+from critfact.squarefree import _extend_local_periods, _walk_periods, square_free_words
 
 from conftest import all_words, brute_local_period, repetition_candidates
 
@@ -263,7 +264,7 @@ def test_single_words_run_no_trie_step(monkeypatch):
     def refuse(s, lp):
         raise AssertionError("the trie step ran on a single word")
 
-    monkeypatch.setattr(periods_module, "_extend_local_periods", refuse)
+    monkeypatch.setattr(squarefree_module, "_extend_local_periods", refuse)
     assert local_periods("0120201202021021021") == EX1_LP
     assert profile(m_prefix(1000)).period > 500
     assert verify_wx_density(2).verdict == "PASS"
@@ -302,7 +303,7 @@ def test_trie_step_equals_scan_exhaustively():
     # every ternary word of length 2..9, each stepped from its parent
     walked = 0
     for letter in "012":
-        for w, lp, _ in _walk(letter, 2, 9, "012", lp=[]):
+        for w, lp, _ in _walk_periods(letter, 2, 9, "012", None, []):
             walked += 1
             assert lp == local_periods_scan(w), w
     assert walked == sum(3**n for n in range(2, 10))

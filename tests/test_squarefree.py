@@ -21,7 +21,7 @@ from critfact import (
 from critfact import squarefree as squarefree_module
 from critfact.cli import run
 from critfact.periods import local_periods, local_periods_scan
-from critfact.squarefree import _walk
+from critfact.squarefree import _walk, _walk_periods
 from critfact.thue import m_prefix
 from critfact.verify import _count_universe, verify_alpha_extremal
 from critfact.words import global_period
@@ -265,7 +265,8 @@ def test_walk_without_letter_test_yields_every_word():
 
 def test_walk_carries_local_periods_on_request():
     for prefix in ("01", "0120"):
-        triples = list(_walk(prefix, 2, 16, "012", extend_square_free, local_periods(prefix)))
+        walk = _walk_periods(prefix, 2, 16, "012", extend_square_free, local_periods(prefix))
+        triples = list(walk)
         assert [w for w, _, _ in triples] == list(square_free_range(2, 16, prefix=prefix))
         for w, lp, _ in triples:
             assert lp == local_periods_scan(w), w
@@ -293,13 +294,13 @@ def test_walk_carries_the_global_period():
         ("01", None, 14),
         ("0123", extend_square_free, 8),
     ):
-        walks = (_walk(a, 1, top, alphabet, accept, []) for a in alphabet)
+        walks = (_walk_periods(a, 1, top, alphabet, accept, []) for a in alphabet)
         _assert_periods_carried((t for walk in walks for t in walk), _universe(alphabet, accept, top))
     for depth in (2, 3):
         for accept, top in ((extend_square_free, 16), (None, 8)):
             words = _universe("012", accept, top)
             for prefix in _walk("", depth, depth, "012", accept):
-                walk = _walk(prefix, depth, top, "012", accept, local_periods(prefix))
+                walk = _walk_periods(prefix, depth, top, "012", accept, local_periods(prefix))
                 below = [w for w in words if w.startswith(prefix)]
                 _assert_periods_carried(walk, below)
 
