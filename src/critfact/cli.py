@@ -21,7 +21,7 @@ from .periods import (
     profile_csv_rows,
     profile_json_dict,
 )
-from .squarefree import _counts_by_length, is_square_free
+from .squarefree import _counts_by_length, _orbit_words, is_square_free
 from .thue import (
     alpha_n,
     beta_family,
@@ -195,14 +195,15 @@ def _cmd_global(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    words = _counts_by_length(args.n, TERNARY)[1]  # both ceilings hold before the listing
+    counts, groups = _counts_by_length(args.n, TERNARY)  # both ceilings hold before the listing
+    words = None if args.count_only else _orbit_words(groups, TERNARY)
     if args.json:
-        doc: dict = {"n": args.n, "count": len(words)}
-        if not args.count_only:
+        doc: dict = {"n": args.n, "count": counts[-1]}
+        if words is not None:
             doc["words"] = words
         _emit(args, json.dumps(doc, indent=2))
     else:
-        _emit(args, str(len(words)) if args.count_only else "\n".join(words))
+        _emit(args, str(counts[-1]) if words is None else "\n".join(words))
     return 0
 
 

@@ -23,16 +23,19 @@ periods and its global period per(w) down the trie, by the trie step
 range suites check a walked word from the walk's own state.
 
 Counts go breadth first instead: ``_counts_by_length`` grows each
-length's square-free words, in order, from the previous length's, and
-holds every word grown to the word ceiling; ``enumerate`` lists the
-last length.  Every square-free pre-count runs it, so none grows a
-length past the first at which the running total passes the ceiling.
+length's square-free words from the previous length's, one word per
+letter-renaming orbit, and holds every word counted to the word
+ceiling; ``enumerate`` lists the last length's orbits in full
+(``_orbit_words``).  Every square-free pre-count runs it, so none grows
+a length past the first at which the running total passes the ceiling.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import permutations
+from math import perm
 from typing import Callable, Iterator
 
 from .config import _check_profile_len, _hold_words
@@ -267,36 +270,65 @@ def square_free_words(
     return square_free_range(n, n, alphabet, prefix)
 
 
-def _counts_by_length(max_len: int, alphabet: str, extra: int = 0) -> tuple[list[int], list[str]]:
+def _counts_by_length(max_len: int, alphabet: str, extra: int = 0) -> tuple[list[int], list[list[str]]]:
     """The number of square-free words over ``alphabet`` of each length
-    0..``max_len``, and the words of length ``max_len`` in lexicographic
-    order.  Length 1 comes from ``square_free_words`` and each longer
-    length from the words of the one before, grown by
-    ``extend_square_free``, so no more than two lengths' words are held
-    at once.  Raises RangeError for a negative length or a bad alphabet
-    and ResourceGuard when ``max_len`` passes the profile ceiling, all
+    0..``max_len``, and the orbit representatives of length ``max_len``
+    grouped by their number d of distinct letters.
+
+    Renaming letters keeps a word square-free, so only one word per
+    orbit is grown: the one whose letters first occur in alphabet order
+    (a restricted growth string, Knuth, TAOCP 7.2.1.5).  It uses the
+    first d letters and stands for ``perm(k, d)`` words over k letters,
+    so every count stays exact.  Length 1 comes from
+    ``square_free_words`` over the first letter and each longer length
+    from the representatives of the one before, each grown by
+    ``extend_square_free`` with the letters it uses and the next one,
+    so no more than two lengths' representatives are held at once.
+    Raises RangeError for a negative length or a bad alphabet and
+    ResourceGuard when ``max_len`` passes the profile ceiling, all
     before the first word, and ``_hold_words`` at the first length at
-    which ``extra`` plus the words grown pass the word ceiling.
+    which ``extra`` plus the words counted pass the word ceiling.
     """
     if max_len < 0:
         raise RangeError(f"need length >= 0, got {max_len}")
     _check_alphabet(alphabet)
     _check_profile_len(max_len, "max length")
-    words, counts, hold = [""], [], _hold_words(extra)
+    k = len(alphabet)
+    groups, counts, hold = [[""]], [], _hold_words(extra)
     for n in range(max_len + 1):
         if n == 1:
-            words = list(square_free_words(1, alphabet))
+            groups = [[], list(square_free_words(1, alphabet[:1]))]
         elif n:
-            words = [w + a for w in words for a in alphabet if extend_square_free(w, a)]
-        counts.append(len(words))
-        hold(len(words))
-    return counts, words
+            grown = [[] for _ in range(min(len(groups), k) + 1)]
+            for d, reps in enumerate(groups):
+                for w in reps:
+                    for i, a in enumerate(alphabet[: d + 1]):
+                        if extend_square_free(w, a):
+                            grown[d + (i == d)].append(w + a)
+            groups = grown
+        counts.append(sum(perm(k, d) * len(reps) for d, reps in enumerate(groups)))
+        hold(counts[-1])
+    return counts, groups
+
+
+def _orbit_words(groups: list[list[str]], alphabet: str) -> list[str]:
+    """Every word in the orbits of ``groups``, as ``_counts_by_length``
+    returns them: each representative with d letters under each
+    injective renaming of the first d letters of ``alphabet``, in
+    lexicographic order of ``alphabet``."""
+    words = []
+    for d, reps in enumerate(groups):
+        for image in permutations(alphabet, d):
+            rename = str.maketrans(alphabet[:d], "".join(image))
+            words.extend(w.translate(rename) for w in reps)
+    rank = {ord(a): i for i, a in enumerate(alphabet)}
+    return sorted(words, key=lambda w: w.translate(rank))
 
 
 def count_square_free(n: int, alphabet: str = TERNARY) -> int:
     """Number of square-free words of length ``n`` over ``alphabet``,
-    grown length by length by ``_counts_by_length`` and so held to both
-    ceilings."""
+    counted length by length by ``_counts_by_length`` and so held to
+    both ceilings."""
     return _counts_by_length(n, alphabet)[0][-1]
 
 

@@ -312,7 +312,7 @@ def _run_chunk(payload):
 
 def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, extra: int) -> None:
     """Hold each length 0..``max_len`` of the universe, k^n words over k
-    letters or the square-free ones as ``_counts_by_length`` grows them,
+    letters or the square-free ones as ``_counts_by_length`` counts them,
     plus ``extra`` random words, to the word ceiling, length by length
     so the total named stays near it, and ``max_len`` to the profile
     ceiling.  Raises RangeError when the square-free universe, which is

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from critfact import cli as cli_module
 from critfact.cli import run
 from critfact.periods import profile, profile_json_dict
 from critfact.squarefree import square_free_words
@@ -127,6 +128,30 @@ def test_enumerate_counts(capsys):
     # the listing grown length by length keeps the depth-first walk's order
     assert run(["enumerate", "--n", "9"]) == 0
     assert capsys.readouterr().out == "\n".join(square_free_words(9)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--json"], "cacd5879ea3964ccfc73eb992125b343849e90997b4d32efd78b64c7a1c52fcc"),
+        ([], "93466ccfbad88475c82c90270b0e0fa6fa17557ac6638f0b7d23ac99b242f630"),
+    ],
+)
+def test_enumerate_listing_is_pinned(capsys, args, digest):
+    assert run(["enumerate", "--n", "22", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enumerate_count_only_lists_no_word(capsys, monkeypatch):
+    def refuse(groups, alphabet):
+        raise AssertionError("--count-only expanded the orbits")
+
+    monkeypatch.setattr(cli_module, "_orbit_words", refuse)
+    assert run(["enumerate", "--n", "20", "--count-only"]) == 0
+    assert capsys.readouterr().out == "2388\n"
+    code, doc = run_json(capsys, ["enumerate", "--n", "20", "--count-only", "--json"])
+    assert code == 0 and doc == {"n": 20, "count": 2388}
 
 
 def test_enumerate_ceiling(capsys, monkeypatch):

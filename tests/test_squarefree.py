@@ -21,7 +21,7 @@ from critfact import (
 from critfact import squarefree as squarefree_module
 from critfact.cli import run
 from critfact.periods import local_periods, local_periods_scan
-from critfact.squarefree import _walk, _walk_periods
+from critfact.squarefree import _counts_by_length, _orbit_words, _walk, _walk_periods
 from critfact.thue import m_prefix
 from critfact.verify import _count_universe, verify_alpha_extremal
 from critfact.words import global_period
@@ -216,6 +216,23 @@ def test_enumeration_counts_match_brute_filter():
     assert count_square_free(2) == 6
     assert count_square_free(3) == 12
     assert count_square_free(5) == 30
+
+
+@pytest.mark.parametrize(
+    "alphabet, top",
+    [("0", 16), ("01", 16), ("012", 16), ("210", 16), ("0123", 9), ("ab", 16)],
+)
+def test_orbit_counts_and_listing_equal_the_walk(alphabet, top):
+    # one word per letter-renaming orbit is grown, yet every count and
+    # the expanded listing, in alphabet order, are the walk's
+    walked = [list(square_free_words(n, alphabet)) for n in range(top + 1)]
+    for n in range(top + 1):
+        counts, groups = _counts_by_length(n, alphabet)
+        assert counts == [len(words) for words in walked[: n + 1]]
+        assert _orbit_words(groups, alphabet) == walked[n]
+        for d, reps in enumerate(groups):
+            for w in reps:
+                assert "".join(dict.fromkeys(w)) == alphabet[:d], w
 
 
 def test_enumeration_is_lexicographic_and_square_free():

@@ -747,9 +747,10 @@ def test_counts_grow_no_length_past_the_word_ceiling(monkeypatch):
 
 
 def test_runs_past_the_word_ceiling_grow_few_words(monkeypatch, capsys):
-    # lengths 0..21 hold 13,018 square-free words: growing them takes
-    # 3 * 9,837 + 3 letter tests, where a ceiling on one length's words
-    # would grow to length 26 first
+    # lengths 0..21 hold 13,018 square-free words, but the count grows
+    # one word per letter-renaming orbit: 4,920 letter tests, where
+    # growing every word takes 3 * 9,837 + 3 and a ceiling on one
+    # length's words would grow to length 26 first
     extend = squarefree_module.extend_square_free
     calls = []
 
@@ -760,12 +761,12 @@ def test_runs_past_the_word_ceiling_grow_few_words(monkeypatch, capsys):
     monkeypatch.setattr(squarefree_module, "extend_square_free", counted)
     monkeypatch.setenv("CRITFACT_MAX_WORDS", "10000")
     assert cli_module.run(["verify", "upper-bound", "--min", "4000", "--max", "4000"]) == 2
-    assert len(calls) <= 30000
+    assert len(calls) <= 5000
     assert capsys.readouterr().err.startswith("critfact: error: at least 13018 words")
     calls.clear()
     with pytest.raises(ResourceGuard, match="^at least 13018 words"):
         count_square_free(4000)
-    assert len(calls) <= 30000
+    assert len(calls) <= 5000
 
 
 def test_problem1_checks_the_profile_ceiling_before_it_searches(monkeypatch):
