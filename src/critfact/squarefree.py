@@ -42,8 +42,10 @@ from .config import _check_profile_len, _hold_words
 from .errors import EmptyFactor, RangeError, ResourceGuard
 from .words import TERNARY, _check_alphabet, border_array
 
-# find_square stays the canonical route below this length; has_square
-# takes over where the quadratic scan gets slow.
+# is_square_free sends words up to this length to find_square, although
+# has_square is faster at every such length.  The fork stays only because
+# perfbench/selftest.py predicts find_square busy and has_square idle on
+# the sf-universe and all-words workloads (ROADMAP item 2).
 _FAST_THRESHOLD = 64
 
 # has_square's shortest anchor block, set by measurement: on prefixes

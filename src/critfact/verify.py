@@ -24,12 +24,12 @@ determined by the theorem:
 They and ``explore_problem2`` run one engine, ``_run_universe``: it
 holds every word the run will grow to the word ceiling, walks the
 universe in chunks, one per word prefix, serially or across worker
-processes, and folds each chunk; the caller merges the folds in prefix
-order, so its result does not depend on the worker count.  Each chunk
-runs ``_walk_periods``; the chunk prefixes and the 01-constrained
-search of ``verify_alpha_extremal`` run the plain walker ``_walk``,
-which yields words only.  Both take the letter test as an argument,
-and the all-words universe runs them with none.  A range in which the
+processes, and returns ``fold(walk)`` of each chunk in prefix order, so
+the merged result does not depend on the worker count.  Each chunk runs
+``_walk_periods``; the chunk prefixes and the 01-constrained search of
+``verify_alpha_extremal`` run the plain walker ``_walk``, which yields
+words only.  Both take the letter test that ``_letter_test`` reads when
+the chunk runs; the all-words universe has none.  A range in which the
 universe holds no word is refused, so no suite passes on zero words.
 ``_check_word`` runs the per-word predicates of the range suites and of
 ``verify_beta_eta`` and ``verify_wx_density``, whose predicates depend
@@ -45,7 +45,7 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from functools import partial
 from itertools import islice
 from multiprocessing import Pool
 from typing import Iterable, Iterator
@@ -103,10 +103,10 @@ _UNIVERSE = {
     TheoremId.LOWER_BOUND: "square-free",
 }
 
-_RANGE_SUITES = frozenset(_UNIVERSE)
 
-# The letter test each universe walks with; None accepts every letter.
-_ACCEPT = {"all": None, "square-free": extend_square_free}
+def _letter_test(universe: str):
+    """The letter test of ``universe``, read at call time, or None."""
+    return None if universe == "all" else extend_square_free
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ def _check_word(
                 continue
             if eta != lx + 3:
                 issues.append((tid, w, f"n={k}: eta={eta}, wanted |x|+3={lx + 3}"))
-            if Fraction(eta, n) != Fraction(1, 4) + Fraction(1, n):
+            if 4 * eta != n + 4:  # eta/|w| == 1/4 + 1/|w|
                 issues.append((tid, w, f"n={k}: eta/|w| is not exactly 1/4 + 1/|w|"))
             interval = _critical_interval(_critical_points(lp, per))
             want = (2 * lx + 4, 3 * lx + 6)
@@ -302,12 +302,11 @@ def _check_words(
     return tested, found
 
 
-def _run_chunk(payload):
-    """``fold(walk, arg)`` of the walk below ``prefix``, seeded with
+def _run_chunk(fold, universe, alphabet, min_len, max_len, prefix):
+    """``fold(walk)`` of the walk below ``prefix``, seeded with
     ``local_periods(prefix)`` and stepped down the trie from there."""
-    fold, arg, universe, alphabet, min_len, max_len, prefix = payload
     lp = local_periods(prefix)
-    return fold(_walk_periods(prefix, min_len, max_len, alphabet, _ACCEPT[universe], lp), arg)
+    return fold(_walk_periods(prefix, min_len, max_len, alphabet, _letter_test(universe), lp))
 
 
 def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, extra: int) -> None:
@@ -318,7 +317,7 @@ def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, ex
     ceiling.  Raises RangeError when the square-free universe, which is
     prefix-closed, holds no word of length ``min_len``, so that no suite
     passes on zero words tested."""
-    if _ACCEPT[universe] is None:
+    if universe == "all":
         hold = _hold_words(extra)
         for n in range(max_len + 1):
             hold(len(alphabet) ** n)
@@ -329,21 +328,21 @@ def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, ex
         )
 
 
-def _run_universe(fold, arg, universe, alphabet, min_len, max_len, jobs=1, extra=0) -> list:
-    """``fold(walk, arg)`` of each chunk, the walk below one prefix of
-    length min(3, ``min_len``), in prefix order.  First the universe's
-    words of lengths 0..``max_len``, plus ``extra``, are held to the
-    word ceiling and ``max_len`` to the profile ceiling.  Chunks
-    run on a pool of at most ``jobs`` processes."""
+def _run_universe(fold, universe, alphabet, min_len, max_len, jobs=1, extra=0) -> list:
+    """``fold(walk)`` of each chunk, the walk below one prefix of length
+    min(3, ``min_len``), in prefix order.  First the universe's words of
+    lengths 0..``max_len``, plus ``extra``, are held to the word ceiling
+    and ``max_len`` to the profile ceiling.  Chunks run on a pool of at
+    most ``jobs`` processes."""
     _count_universe(universe, alphabet, min_len, max_len, extra)
     depth = min(3, min_len)
-    prefixes = _walk("", depth, depth, alphabet, _ACCEPT[universe])
-    chunks = [(fold, arg, universe, alphabet, min_len, max_len, pre) for pre in prefixes]
-    jobs = min(jobs, len(chunks), os.cpu_count() or 1)
+    prefixes = list(_walk("", depth, depth, alphabet, _letter_test(universe)))
+    run = partial(_run_chunk, fold, universe, alphabet, min_len, max_len)
+    jobs = min(jobs, len(prefixes), os.cpu_count() or 1)
     if jobs > 1:
         with Pool(jobs) as pool:
-            return pool.map(_run_chunk, chunks)
-    return [_run_chunk(c) for c in chunks]
+            return pool.map(run, prefixes)
+    return list(map(run, prefixes))
 
 
 def random_square_free(length: int, rng: random.Random, alphabet: str = TERNARY) -> str:
@@ -378,29 +377,37 @@ def random_square_free(length: int, rng: random.Random, alphabet: str = TERNARY)
 def _report(
     theorem: TheoremId, range_desc: dict, tested: int, found: list, start: float
 ) -> VerificationReport:
-    """A report with its counterexamples sorted, timed from ``start``."""
+    """A report whose counterexamples are the (word, detail) pairs of the
+    (theorem, word, detail) issues in ``found`` that name ``theorem``,
+    sorted, timed from ``start``."""
+    ces = sorted((w, d) for t, w, d in found if t is theorem)
     elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    return VerificationReport(theorem.value, range_desc, tested, sorted(found), elapsed_ms)
+    return VerificationReport(theorem.value, range_desc, tested, ces, elapsed_ms)
 
 
 def verify_many(
-    theorems: Iterable[TheoremId],
+    theorems: Iterable[TheoremId | str],
     min_len: int,
     max_len: int,
     options: VerifyOptions | None = None,
 ) -> list[VerificationReport]:
     """Run several range suites over one shared enumeration pass.
 
-    All requested theorems must walk the same universe.  Returns one
-    report per theorem, in input order.
+    The theorems, given once each as ids or tokens, must walk the same
+    universe.  Returns one report per theorem, in input order.
     """
-    ids = tuple(theorems)
+    try:
+        ids = tuple(TheoremId(t) for t in theorems)
+    except ValueError as exc:
+        raise RangeError(f"unknown theorem: {exc}") from None
     opts = options or VerifyOptions()
     if not ids:
         raise RangeError("no theorems requested")
     for tid in ids:
-        if tid not in _RANGE_SUITES:
+        if tid not in _UNIVERSE:
             raise RangeError(f"{tid.value} takes no length range; call its own function")
+        if ids.count(tid) > 1:
+            raise RangeError(f"{tid.value} is requested more than once")
     universes = {_UNIVERSE[tid] for tid in ids}
     if len(universes) > 1:
         raise RangeError("cannot share one enumeration across different universes")
@@ -426,8 +433,9 @@ def verify_many(
         _check_profile_len(opts.random_max, "random_max")  # random words are profiled too
 
     start = time.perf_counter()
+    fold = partial(_check_words, ids=ids)
     parts = _run_universe(
-        _check_words, ids, universe, opts.alphabet, min_len, max_len, opts.jobs, opts.random_count
+        fold, universe, opts.alphabet, min_len, max_len, opts.jobs, opts.random_count
     )
     range_desc: dict = {
         "minLen": min_len,
@@ -441,7 +449,7 @@ def verify_many(
             random_square_free(rng.randint(opts.random_min, opts.random_max), rng, opts.alphabet)
             for _ in range(opts.random_count)
         )
-        parts.append(_check_words(((w, None, None) for w in words), ids))
+        parts.append(fold((w, None, None) for w in words))
         range_desc["randomCount"] = opts.random_count
         range_desc["randomMin"] = opts.random_min
         range_desc["randomMax"] = opts.random_max
@@ -449,14 +457,11 @@ def verify_many(
 
     tested = sum(t for t, _ in parts)
     found = [item for _, part in parts for item in part]
-    return [
-        _report(tid, dict(range_desc), tested, [(w, d) for t, w, d in found if t is tid], start)
-        for tid in ids
-    ]
+    return [_report(tid, dict(range_desc), tested, found, start) for tid in ids]
 
 
 def verify(
-    theorem: TheoremId,
+    theorem: TheoremId | str,
     min_len: int,
     max_len: int,
     options: VerifyOptions | None = None,
@@ -494,25 +499,27 @@ def verify_alpha_extremal() -> VerificationReport:
         if not _has_border(w):
             by_len.setdefault(len(w), []).append(w)
     top = max(by_len)
-    counterexamples = []
+    tid = TheoremId.ALPHA_EXTREMAL
+    found = []
     if top > 13:
-        for w in sorted(wd for length, ws in by_len.items() if length > 13 for wd in ws):
-            counterexamples.append((w, f"unbordered, unique 01 prefix, length {len(w)} > 13"))
+        for w in (wd for length, ws in by_len.items() if length > 13 for wd in ws):
+            found.append((tid, w, f"unbordered, unique 01 prefix, length {len(w)} > 13"))
     elif top < 13:
-        counterexamples.append(("", f"search topped out at length {top} < 13"))
+        found.append((tid, "", f"search topped out at length {top} < 13"))
     elif by_len[13] != [ALPHA_WORD]:
-        for w in sorted(by_len[13]):
+        for w in by_len[13]:
             if w != ALPHA_WORD:
-                counterexamples.append((w, "unexpected maximal witness"))
+                found.append((tid, w, "unexpected maximal witness"))
         if ALPHA_WORD not in by_len[13]:
-            counterexamples.append((ALPHA_WORD, "expected witness not found"))
-    return _report(
-        TheoremId.ALPHA_EXTREMAL,
-        {"constraint": "square-free, prefix 01, no other 01 occurrence"},
-        tested,
-        counterexamples,
-        start,
-    )
+            found.append((tid, ALPHA_WORD, "expected witness not found"))
+    range_desc = {"constraint": "square-free, prefix 01, no other 01 occurrence"}
+    return _report(tid, range_desc, tested, found, start)
+
+
+def _family_report(theorem, range_desc, words, start) -> VerificationReport:
+    """The report of ``theorem``'s per-word predicates on ``words``."""
+    tested, found = _check_words(((w, None, None) for w in words), (theorem,))
+    return _report(theorem, range_desc, tested, found, start)
 
 
 # Local periods and repetition words demanded of the four non-critical
@@ -528,9 +535,8 @@ def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
     """
     start = time.perf_counter()
     words = beta_family(count, search_bound)
-    tested, found = _check_words(((w, None, None) for w in words), (TheoremId.BETA_ETA,))
     range_desc = {"count": count, "searchBound": search_bound}
-    return _report(TheoremId.BETA_ETA, range_desc, tested, [(w, d) for _, w, d in found], start)
+    return _family_report(TheoremId.BETA_ETA, range_desc, words, start)
 
 
 def verify_wx_density(n_max: int) -> VerificationReport:
@@ -548,9 +554,7 @@ def verify_wx_density(n_max: int) -> VerificationReport:
         w = construct_wx(x_n(n))
         _check_profile_len(len(w), "|w| =")  # the ceiling ``profile`` applies
         words.append(w)
-    tested, found = _check_words(((w, None, None) for w in words), (TheoremId.WX_DENSITY,))
-    found_pairs = [(w, d) for _, w, d in found]
-    return _report(TheoremId.WX_DENSITY, {"nMax": n_max}, tested, found_pairs, start)
+    return _family_report(TheoremId.WX_DENSITY, {"nMax": n_max}, words, start)
 
 
 # -- exploration (no truth claims) -------------------------------------------
@@ -587,7 +591,7 @@ def explore_problem1(len_min: int, len_max: int) -> dict:
     return {"problem": "problem1", "note": _PROBLEM1_NOTE, "lengths": rows}
 
 
-def _problem2_fold(walk, _) -> dict:
+def _problem2_fold(walk) -> dict:
     """For each length divisible by 4 in the walk: the words tested, the
     least eta(w) - |w|/4 and the words where it is 0, in walk order."""
     rows: dict[int, list] = {}
@@ -619,7 +623,7 @@ def explore_problem2(len_max: int) -> dict:
         length: {"length": length, "minExcess": None, "witnesses": [], "tested": 0}
         for length in range(4, len_max + 1, 4)
     }
-    for part in _run_universe(_problem2_fold, None, "square-free", TERNARY, 4, len_max):
+    for part in _run_universe(_problem2_fold, "square-free", TERNARY, 4, len_max):
         for length, (tested, least, witnesses) in part.items():
             row = rows[length]
             row["tested"] += tested

@@ -89,6 +89,45 @@ def test_verify_many_rejects_mixed_universes():
         verify_many([TheoremId.CFT, TheoremId.MIDPOINT], 2, 5)
 
 
+def test_theorems_may_be_named_by_their_tokens(monkeypatch):
+    by_token = verify_many(["midpoint", "unimodal"], 2, 6)
+    by_id = verify_many([TheoremId.MIDPOINT, TheoremId.UNIMODAL], 2, 6)
+    assert _report_docs(by_token) == _report_docs(by_id)
+    assert verify("cft", 2, 4).theorem == "cft"
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    with pytest.raises(RangeError, match="^unknown theorem: 'bogus' is not a valid TheoremId$"):
+        verify("bogus", 2, 4)
+
+
+def test_a_repeated_theorem_is_refused(monkeypatch):
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    with pytest.raises(RangeError, match="^unimodal is requested more than once$"):
+        verify_many([TheoremId.UNIMODAL, TheoremId.UNIMODAL], 2, 3)
+    with pytest.raises(RangeError, match="^cft is requested more than once$"):
+        verify_many([TheoremId.CFT, "overflow", "cft"], 2, 3)
+
+
+def test_the_walk_reads_its_letter_test_when_it_runs(monkeypatch):
+    # every letter test of a square-free walk goes through the module
+    # attribute, so a tracer that rebinds it sees them all
+    extend = verify_module.extend_square_free
+    calls = []
+
+    def counting(w, a):
+        calls.append(w + a)
+        return extend(w, a)
+
+    monkeypatch.setattr(verify_module, "extend_square_free", counting)
+    verify(TheoremId.CFT, 2, 6)
+    assert calls == []
+    # three letters tried after each square-free word of lengths 0..9
+    assert verify(TheoremId.MIDPOINT, 2, 10).verdict == "PASS"
+    assert len(calls) == 3 * sum(count_square_free(n) for n in range(10))
+    del calls[:]
+    explore_problem2(8)
+    assert len(calls) == 3 * sum(count_square_free(n) for n in range(8))
+
+
 def test_verify_rejects_bad_ranges():
     with pytest.raises(RangeError):
         verify(TheoremId.MIDPOINT, 5, 3)
@@ -678,9 +717,9 @@ def test_problem2_walks_the_depth_3_prefixes_in_order(monkeypatch):
     run_chunk = verify_module._run_chunk
     prefixes = []
 
-    def recording(payload):
-        prefixes.append(payload[-1])
-        return run_chunk(payload)
+    def recording(fold, universe, alphabet, min_len, max_len, prefix):
+        prefixes.append(prefix)
+        return run_chunk(fold, universe, alphabet, min_len, max_len, prefix)
 
     monkeypatch.setattr(verify_module, "_run_chunk", recording)
     assert [row["tested"] for row in explore_problem2(8)["lengths"]] == [18, 78]
