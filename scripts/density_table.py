@@ -11,7 +11,9 @@ import argparse
 import os
 import sys
 
-from critfact import CritfactError, Limits, beta_family, construct_wx, m_prefix, profile, x_n
+from critfact import (
+    CritfactError, Limits, RangeError, beta_family, construct_wx, m_prefix, profile, x_n,
+)
 
 
 def table(rows) -> list[str]:
@@ -46,6 +48,8 @@ def main() -> int:
             ("beta", i, w)
             for i, w in enumerate(beta_family(args.count, args.bound), start=1)
         ]
+    if not rows:
+        raise RangeError(f"the {args.family} table has no rows")
     print("\n".join(table(rows)))
     return 0
 

@@ -4,6 +4,10 @@ Exit codes: 0 success (and verify PASS), 1 verify FAIL, 2 usage or
 resource errors.  ``--json`` emits a single well-formed document per
 invocation; ``--csv`` is available for profiles; default output is a
 short plain rendering.  ``--out PATH`` redirects the document to a file.
+
+Each command's handler is set on its parser: ``set_defaults`` gives every
+leaf command its verb's ``_cmd_*`` as ``handler`` and the family, suite or
+search that handler runs, and ``run`` calls the handler it parsed.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .thue import (
     x_n,
 )
 from .verify import (
+    _UNIVERSE,
     TheoremId,
     VerifyOptions,
     explore_problem1,
@@ -45,68 +50,6 @@ from .verify import (
 from .words import TERNARY, global_period, parse_word
 
 _CONSOLE_CE_LIMIT = 10
-
-
-def build_parser() -> argparse.ArgumentParser:
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--json", action="store_true", help="emit one JSON document")
-    output.add_argument("--out", metavar="PATH", help="write output to a file")
-    span = argparse.ArgumentParser(add_help=False, parents=[output])
-    span.add_argument("--min", type=int, dest="min_len")
-    span.add_argument("--max", type=int, dest="max_len")
-    span.add_argument("--alphabet", default="012")
-    span.add_argument("--jobs", type=int, default=1, metavar="K", help="worker processes")
-
-    top = argparse.ArgumentParser(prog="critfact",
-                                  description="critical factorisation toolkit")
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("profile", parents=[output], help="period profile of words")
-    p.add_argument("word", nargs="?", help="word as a digit string")
-    p.add_argument("--file", metavar="PATH", help="read one word per line")
-    p.add_argument("--csv", action="store_true", help="emit CSV")
-
-    g = sub.add_parser("global", parents=[output], help="global period of a word")
-    g.add_argument("word")
-
-    e = sub.add_parser("enumerate", parents=[output],
-                       help="square-free ternary words of one length")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--count-only", action="store_true")
-
-    gen = sub.add_parser("generate", help="generated word families")
-    gsub = gen.add_subparsers(dest="family", required=True)
-    fam = gsub.add_parser("m-prefix", parents=[output])
-    fam.add_argument("--len", type=int, required=True, dest="length")
-    for name in ("tau", "mn", "alpha", "beta", "wx"):
-        fam = gsub.add_parser(name, parents=[output])
-        fam.add_argument("--n", type=int, required=True)
-    fam = gsub.add_parser("wx-of", parents=[output])
-    fam.add_argument("--x", required=True)
-    fam = gsub.add_parser("beta-family", parents=[output])
-    fam.add_argument("--count", type=int, required=True)
-    fam.add_argument("--bound", type=int, required=True)
-
-    v = sub.add_parser("verify", help="run a verification suite")
-    vsub = v.add_subparsers(dest="theorem", required=True)
-    for tid in TheoremId:
-        if tid not in _SUITES:
-            vsub.add_parser(tid.value, parents=[span])
-    vsub.add_parser("alpha-extremal", parents=[output])
-    t = vsub.add_parser("beta-eta", parents=[output])
-    t.add_argument("--count", type=int, default=3, help="family size")
-    t.add_argument("--bound", type=int, default=10000, help="search bound")
-    t = vsub.add_parser("wx-density", parents=[output])
-    t.add_argument("--n", type=int, default=4, help="largest n")
-
-    x = sub.add_parser("explore", help="open-problem searches")
-    xsub = x.add_subparsers(dest="problem", required=True)
-    q = xsub.add_parser("problem1", parents=[output])
-    q.add_argument("--min", type=int, dest="min_len", default=1)
-    q.add_argument("--max", type=int, dest="max_len", required=True)
-    q = xsub.add_parser("problem2", parents=[output])
-    q.add_argument("--max", type=int, dest="max_len", required=True)
-    return top
 
 
 def _emit(args, text: str) -> None:
@@ -207,31 +150,8 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-# family -> (words, params) from the parsed arguments
-_FAMILIES = {
-    "m-prefix": lambda a: ([m_prefix(a.length)], {"len": a.length}),
-    "tau": lambda a: ([tau_iter("0", a.n)], {"n": a.n}),
-    "mn": lambda a: ([m_n(a.n)], {"n": a.n}),
-    "alpha": lambda a: ([alpha_n(a.n)], {"n": a.n}),
-    "beta": lambda a: ([beta_n(a.n)], {"n": a.n}),
-    "wx": lambda a: ([construct_wx(x_n(a.n))], {"n": a.n}),
-    "wx-of": lambda a: ([construct_wx(parse_word(a.x))], {"x": a.x}),
-    "beta-family": lambda a: (
-        beta_family(a.count, a.bound),
-        {"count": a.count, "bound": a.bound},
-    ),
-}
-
-# family suite -> report from the parsed arguments
-_SUITES = {
-    TheoremId.ALPHA_EXTREMAL: lambda a: verify_alpha_extremal(),
-    TheoremId.BETA_ETA: lambda a: verify_beta_eta(a.count, a.bound),
-    TheoremId.WX_DENSITY: lambda a: verify_wx_density(a.n),
-}
-
-
 def _cmd_generate(args) -> int:
-    words, params = _FAMILIES[args.family](args)
+    words, params = args.family_words(args)
     if args.json:
         if len(words) == 1:
             w = words[0]
@@ -272,15 +192,16 @@ def _report_plain(report) -> str:
     return "\n".join(lines)
 
 
+def _verify_range(args):
+    """The report of a range theorem over ``--min``..``--max``."""
+    if args.min_len is None or args.max_len is None:
+        raise CritfactError(f"verify {args.theorem} needs --min and --max")
+    opts = VerifyOptions(alphabet=args.alphabet, jobs=args.jobs)
+    return verify(args.theorem, args.min_len, args.max_len, opts)
+
+
 def _cmd_verify(args) -> int:
-    tid = TheoremId(args.theorem)
-    if tid in _SUITES:
-        report = _SUITES[tid](args)
-    elif args.min_len is None or args.max_len is None:
-        raise CritfactError(f"verify {tid.value} needs --min and --max")
-    else:
-        opts = VerifyOptions(alphabet=args.alphabet, jobs=args.jobs)
-        report = verify(tid, args.min_len, args.max_len, opts)
+    report = args.suite(args)
     if args.json:
         _emit(args, json.dumps(report.to_json_dict(), indent=2))
     else:
@@ -289,10 +210,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    if args.problem == "problem1":
-        doc = explore_problem1(args.min_len, args.max_len)
-    else:
-        doc = explore_problem2(args.max_len)
+    doc = args.search(args)
     if args.json:
         _emit(args, json.dumps(doc, indent=2))
     else:
@@ -305,14 +223,85 @@ def _cmd_explore(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "profile": _cmd_profile,
-    "global": _cmd_global,
-    "enumerate": _cmd_enumerate,
-    "generate": _cmd_generate,
-    "verify": _cmd_verify,
-    "explore": _cmd_explore,
-}
+def build_parser() -> argparse.ArgumentParser:
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="emit one JSON document")
+    output.add_argument("--out", metavar="PATH", help="write output to a file")
+    span = argparse.ArgumentParser(add_help=False, parents=[output])
+    span.add_argument("--min", type=int, dest="min_len")
+    span.add_argument("--max", type=int, dest="max_len")
+    span.add_argument("--alphabet", default="012")
+    span.add_argument("--jobs", type=int, default=1, metavar="K", help="worker processes")
+
+    top = argparse.ArgumentParser(prog="critfact",
+                                  description="critical factorisation toolkit")
+    sub = top.add_subparsers(dest="verb", required=True)
+
+    p = sub.add_parser("profile", parents=[output], help="period profile of words")
+    p.add_argument("word", nargs="?", help="word as a digit string")
+    p.add_argument("--file", metavar="PATH", help="read one word per line")
+    p.add_argument("--csv", action="store_true", help="emit CSV")
+    p.set_defaults(handler=_cmd_profile)
+
+    g = sub.add_parser("global", parents=[output], help="global period of a word")
+    g.add_argument("word")
+    g.set_defaults(handler=_cmd_global)
+
+    e = sub.add_parser("enumerate", parents=[output],
+                       help="square-free ternary words of one length")
+    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--count-only", action="store_true")
+    e.set_defaults(handler=_cmd_enumerate)
+
+    # each family: (words, params) from the parsed arguments
+    gen = sub.add_parser("generate", help="generated word families")
+    gen.set_defaults(handler=_cmd_generate)
+    gsub = gen.add_subparsers(dest="family", required=True)
+    fam = gsub.add_parser("m-prefix", parents=[output])
+    fam.add_argument("--len", type=int, required=True, dest="length")
+    fam.set_defaults(family_words=lambda a: ([m_prefix(a.length)], {"len": a.length}))
+    for name, word in (("tau", lambda n: tau_iter("0", n)), ("mn", m_n), ("alpha", alpha_n),
+                       ("beta", beta_n), ("wx", lambda n: construct_wx(x_n(n)))):
+        fam = gsub.add_parser(name, parents=[output])
+        fam.add_argument("--n", type=int, required=True)
+        fam.set_defaults(family_words=lambda a, word=word: ([word(a.n)], {"n": a.n}))
+    fam = gsub.add_parser("wx-of", parents=[output])
+    fam.add_argument("--x", required=True)
+    fam.set_defaults(family_words=lambda a: ([construct_wx(parse_word(a.x))], {"x": a.x}))
+    fam = gsub.add_parser("beta-family", parents=[output])
+    fam.add_argument("--count", type=int, required=True)
+    fam.add_argument("--bound", type=int, required=True)
+    fam.set_defaults(family_words=lambda a: (beta_family(a.count, a.bound),
+                                             {"count": a.count, "bound": a.bound}))
+
+    # each theorem: its report from the parsed arguments
+    v = sub.add_parser("verify", help="run a verification suite")
+    v.set_defaults(handler=_cmd_verify)
+    vsub = v.add_subparsers(dest="theorem", required=True)
+    for tid in TheoremId:
+        if tid in _UNIVERSE:
+            vsub.add_parser(tid.value, parents=[span]).set_defaults(suite=_verify_range)
+    t = vsub.add_parser("alpha-extremal", parents=[output])
+    t.set_defaults(suite=lambda a: verify_alpha_extremal())
+    t = vsub.add_parser("beta-eta", parents=[output])
+    t.add_argument("--count", type=int, default=3, help="family size")
+    t.add_argument("--bound", type=int, default=10000, help="search bound")
+    t.set_defaults(suite=lambda a: verify_beta_eta(a.count, a.bound))
+    t = vsub.add_parser("wx-density", parents=[output])
+    t.add_argument("--n", type=int, default=4, help="largest n")
+    t.set_defaults(suite=lambda a: verify_wx_density(a.n))
+
+    x = sub.add_parser("explore", help="open-problem searches")
+    x.set_defaults(handler=_cmd_explore)
+    xsub = x.add_subparsers(dest="problem", required=True)
+    q = xsub.add_parser("problem1", parents=[output])
+    q.add_argument("--min", type=int, dest="min_len", default=1)
+    q.add_argument("--max", type=int, dest="max_len", required=True)
+    q.set_defaults(search=lambda a: explore_problem1(a.min_len, a.max_len))
+    q = xsub.add_parser("problem2", parents=[output])
+    q.add_argument("--max", type=int, dest="max_len", required=True)
+    q.set_defaults(search=lambda a: explore_problem2(a.max_len))
+    return top
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -323,7 +312,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         Limits.from_env()  # a bad CRITFACT_* value fails every command alike
-        return _DISPATCH[args.verb](args)
+        return args.handler(args)
     except (CritfactError, OSError) as exc:
         print(f"critfact: error: {exc}", file=sys.stderr)
         return 2

@@ -313,14 +313,18 @@ def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, ex
     """Hold each length 0..``max_len`` of the universe, k^n words over k
     letters or the square-free ones as ``_counts_by_length`` counts them,
     plus ``extra`` random words, to the word ceiling, length by length
-    so the total named stays near it, and ``max_len`` to the profile
+    so the total named stays near it (all lengths at once over one
+    letter, one word each), and ``max_len`` to the profile
     ceiling.  Raises RangeError when the square-free universe, which is
     prefix-closed, holds no word of length ``min_len``, so that no suite
     passes on zero words tested."""
     if universe == "all":
         hold = _hold_words(extra)
-        for n in range(max_len + 1):
-            hold(len(alphabet) ** n)
+        if len(alphabet) == 1:
+            hold(max_len + 1)  # one word per length: one call at any ceiling
+        else:
+            for n in range(max_len + 1):
+                hold(len(alphabet) ** n)
         _check_profile_len(max_len, "max length")  # every word is profiled
     elif not _counts_by_length(max_len, alphabet, extra)[0][min_len]:
         raise RangeError(

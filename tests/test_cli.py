@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -6,9 +7,10 @@ import time
 import pytest
 
 from critfact import cli as cli_module
-from critfact.cli import run
+from critfact.cli import build_parser, run
 from critfact.periods import profile, profile_json_dict
 from critfact.squarefree import square_free_words
+from critfact.verify import TheoremId
 
 # the module, which the package's ``verify`` function shadows
 verify_module = importlib.import_module("critfact.verify")
@@ -203,6 +205,35 @@ def test_verify_needs_range(capsys):
     assert "needs --min and --max" in capsys.readouterr().err
 
 
+def _commands(parser):
+    """The subcommand parsers of ``parser`` by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_verify_commands_are_the_theorems():
+    verify_commands = _commands(_commands(build_parser())["verify"])
+    assert set(verify_commands) == {t.value for t in TheoremId}
+
+
+@pytest.mark.parametrize("tid", list(verify_module._UNIVERSE))
+def test_each_range_theorem_runs_and_reports_itself(capsys, tid):
+    lo, hi = ("26", "26") if tid is TheoremId.UPPER_BOUND else ("2", "6")
+    code, doc = run_json(capsys, ["verify", tid.value, "--min", lo, "--max", hi, "--json"])
+    assert code == 0
+    assert doc["theorem"] == tid.value
+    assert doc["tested"] > 0
+    assert doc["range"]["universe"] == verify_module._UNIVERSE[tid]
+
+
+@pytest.mark.parametrize("tid", [t for t in TheoremId if t not in verify_module._UNIVERSE])
+def test_family_suites_take_no_range(capsys, tid):
+    assert run(["verify", tid.value, "--min", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --min 2" in captured.err
+
+
 def test_verify_json_report(capsys):
     code, doc = run_json(capsys, ["verify", "cft", "--min", "2", "--max", "6", "--json"])
     assert code == 0
@@ -379,6 +410,17 @@ def test_one_letter_ranges_past_the_profile_ceiling_exit_2_at_once(capsys):
     assert run(["verify", "cft", "--min", "2", "--max", "1000000", "--alphabet", "0"]) == 2
     assert capsys.readouterr().err == (
         "critfact: error: at least 1000001 words to grow exceed the ceiling 1000000\n"
+    )
+
+
+def test_one_letter_ranges_past_any_word_ceiling_exit_2_at_once(capsys, monkeypatch):
+    # one word per length, held in one call rather than one per length
+    monkeypatch.setenv("CRITFACT_MAX_WORDS", "10000000")
+    start = time.perf_counter()
+    assert run(["verify", "cft", "--min", "2", "--max", "10000000", "--alphabet", "0"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "critfact: error: at least 10000001 words to grow exceed the ceiling 10000000\n"
     )
 
 

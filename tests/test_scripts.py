@@ -30,6 +30,8 @@ def run_fresh(argv, **env):
         ["density_table.py", "--family", "beta", "--count", "5", "--bound", "20"],
         ["density_table.py", "--lengths", "1"],
         ["density_table.py", "--lengths", "6000"],
+        ["density_table.py", "--family", "wx", "--n", "0"],
+        ["density_table.py", "--lengths"],
         ["run_verification.py", "--out", MISSING_OUT],
     ],
 )
