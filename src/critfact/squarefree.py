@@ -151,36 +151,40 @@ def extend_square_free(w: str, a: str) -> bool:
     return True
 
 
-def _extend_local_periods(s: str, lp: list[int]) -> list[int]:
+def _extend_local_periods(s: str, lp: list[int], per: int) -> list[int]:
     """Minimal local periods of s = w.a, given ``lp``, those of the
-    nonempty word w: the trie step, run only by ``_walk_periods``, one
-    letter per step.  ``periods.local_periods`` serves a single word
-    without it.
+    nonempty word w, and ``per``, the global period per(s): the trie
+    step, run only by ``_walk_periods``, one letter per step.
+    ``periods.local_periods`` serves a single word without it.
 
     Appending a letter only enlarges each matching window, so
     per(s, p) >= per(w, p).  At p < |w| the window of q = per(w, p)
-    gains the one index |w|-q exactly when q > |w|-p, and the search
-    resumes only if that letter differs from a.  Every larger candidate
-    q' has |w|-q' as the last index of its window, so only the q' that
-    put an earlier a there (found by ``rfind``) get a slice comparison
-    of the rest of the window; with no a left, q' = |s|, whose window is
-    empty.  At the new position p = |w| the window of q is that single
-    index, so per(s, |w|) is the distance back to the last a in w.
+    gains the one index |w|-q exactly when q > |w|-p, that is when
+    q >= |s|-p.  A candidate q' >= max(p, |s|-p) has the whole of s as
+    its window, so it is a local period iff it is a period of s, and
+    the least of those is per(s), a local period everywhere.  So where
+    q >= p too the answer is per(s), with no search.  Elsewhere the
+    search resumes only if the new index's letter differs from a: each
+    larger candidate q' < p has |w|-q' as the last index of its window,
+    so only the q' that put an earlier a there (found by ``rfind``) get
+    a slice comparison of the rest of the window, and with none left
+    the answer is per(s).  At the new position p = |w| the window of q
+    is that single index, so per(s, |w|) is the distance back to the
+    last a in w.
     """
     m = len(s) - 1
     a = s[m]
     out = lp[:]
     for p in range(1, m):
         q = out[p - 1]
-        if q > m - p and s[m - q] != a:
-            i = s.rfind(a, 0, m - q)
-            while i >= 0:
-                q = m - i
-                lo = p - q if p > q else 0
-                if s[lo:i] == s[lo + q : m]:
-                    break
-                i = s.rfind(a, 0, i)
-            out[p - 1] = m - i
+        if q > m - p:
+            if q >= p:
+                out[p - 1] = per
+            elif s[m - q] != a:
+                i = s.rfind(a, m - p + 1, m - q)  # candidates m - i < p
+                while i >= 0 and s[p - m + i : i] != s[p:m]:
+                    i = s.rfind(a, m - p + 1, i)
+                out[p - 1] = per if i < 0 else m - i
     out.append(m - s.rfind(a, 0, m))
     return out
 
@@ -214,14 +218,15 @@ def _walk_periods(
     w, per(w))`` triples, given ``lp``, the local periods of a nonempty
     ``prefix``.
 
-    Each stack entry carries its word's periods, stepped from its
-    parent's by ``_extend_local_periods``, and the longest border of its
-    word, found by one Knuth-Morris-Pratt failure step from the border
-    array of the path down to its parent.  That array is shared by the
-    whole walk and seeded with ``border_array(prefix)``: every entry on
-    the stack extends a word on the current path, so when it is popped
-    the array holds its parent's borders, and it writes its own over
-    those of the last subtree walked.
+    Each stack entry carries the longest border of its word, found by
+    one Knuth-Morris-Pratt failure step from the border array of the
+    path down to its parent, and its word's periods, stepped from its
+    parent's by ``_extend_local_periods`` with the per(w) that border
+    gives.  That array is shared by the whole walk and seeded with
+    ``border_array(prefix)``: every entry on the stack extends a word on
+    the current path, so when it is popped the array holds its parent's
+    borders, and it writes its own over those of the last subtree
+    walked.
     """
     step = _extend_local_periods
     path = border_array(prefix) + [0] * (max_len - len(prefix))
@@ -238,8 +243,9 @@ def _walk_periods(
                     k = b
                     while k and w[k] != a:
                         k = path[k - 1]
+                    k = k + 1 if w[k] == a else 0
                     s = w + a
-                    stack.append((s, step(s, lp), k + 1 if w[k] == a else 0))
+                    stack.append((s, step(s, lp, n + 1 - k), k))
 
 
 def square_free_range(

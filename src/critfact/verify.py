@@ -31,9 +31,16 @@ the merged result does not depend on the worker count.  Each chunk runs
 words only.  Both take the letter test that ``_letter_test`` reads when
 the chunk runs; the all-words universe has none.  A range in which the
 universe holds no word is refused, so no suite passes on zero words.
-``_check_word`` runs the per-word predicates of the range suites and of
-``verify_beta_eta`` and ``verify_wx_density``, whose predicates depend
-on the word alone; ``_report`` builds every report.
+
+The range suites, ``verify_beta_eta`` and ``verify_wx_density``, whose
+predicates depend on the word alone, check each word with one small
+function per theorem, looked up in ``_PREDICATES``.
+``_run_predicates`` looks the requested theorems up once per fold, that
+is once per chunk, before the first word, and refuses one that is not
+checked word by word.  The dispatch sits there because on CPython 3.10
+and 3.11 each lookup of an enum member costs about 120 ns, and a chain
+of ``tid is TheoremId.X`` tests ran 11 to 18 of them per word.
+``_report`` builds every report.
 
 The family suites and ``explore_problem1`` live here too.
 """
@@ -48,7 +55,7 @@ from enum import Enum
 from functools import partial
 from itertools import islice
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .config import _check_profile_len, _hold_words
 from .errors import CritfactError, RangeError, ResourceGuard
@@ -189,117 +196,189 @@ def _checked(
                 yield w, lp, per, f"local-period routes disagree: trie={lp} scan={scan}"
 
 
-def _check_word(
-    w: str, ids: tuple[TheoremId, ...], lp: list[int], per: int, detail: str
-) -> list[tuple[TheoremId, str, str]]:
-    """Run the per-word predicates on the checked local periods ``lp``
-    and period ``per`` of ``w``; a ``detail`` says the routes disagreed
-    and fails them all."""
-    if detail:
-        return [(tid, w, detail) for tid in ids]
+# -- per-word predicates -------------------------------------------------------
+#
+# One function per theorem checked word by word.  Each takes a word w, its
+# checked local periods lp and per(w), and returns the details of what it
+# found wrong, empty when w satisfies the theorem.
+
+
+def _cft(w: str, lp: list[int], per: int) -> Sequence[str]:
+    try:
+        first = lp.index(per) + 1
+    except ValueError:
+        return ("no critical point",)
+    if first > per:
+        return (f"least critical point {first} exceeds per(w)={per}",)
+    return ()
+
+
+def _midpoint(w: str, lp: list[int], per: int) -> Sequence[str]:
+    mid = (len(w) + 1) // 2
+    if lp[mid - 1] != per:
+        return (f"midpoint {mid} not critical: per(w,{mid})={lp[mid - 1]}, per={per}",)
+    return ()
+
+
+def _unimodal(w: str, lp: list[int], per: int) -> Sequence[str]:
+    if not _is_unimodal(lp, (len(w) + 1) // 2):
+        return (f"local periods not unimodal: {lp}",)
+    return ()
+
+
+def _interval(w: str, lp: list[int], per: int) -> Sequence[str]:
+    mid = (len(w) + 1) // 2
+    crit = _critical_points(lp, per)
+    interval = _critical_interval(crit)
+    if interval is None:
+        return (f"critical points not an interval: {crit}",)
+    if not interval[0] <= mid <= interval[1]:
+        return (f"interval [{interval[0]}, {interval[1]}] misses midpoint {mid}",)
+    return ()
+
+
+def _overflow(w: str, lp: list[int], per: int) -> Sequence[str]:
+    # A point p that does not overflow, q <= min(p, |w|-p), claims the
+    # square w[p-q:p+q] centred at p.  The first claim whose square the
+    # letters confirm settles both sides: w is not square-free and not
+    # every point overflows.  Otherwise ``is_square_free`` decides, so
+    # the square side never rests on the local periods alone.
     n = len(w)
-    mid = (n + 1) // 2
-    eta = lp.count(per)
+    claimed = False
+    for p, q in enumerate(lp, 1):
+        if q <= p and q <= n - p:
+            if w[p - q : p] == w[p : p + q]:
+                return ()
+            claimed = True
+    sf = is_square_free(w)
+    if sf == claimed:  # every point overflows iff none claims a square
+        return (f"square-free={sf} but every-point-overflow={not claimed}",)
+    return ()
+
+
+def _rep_unbordered(w: str, lp: list[int], per: int) -> Sequence[str]:
     issues = []
-    for tid in ids:
-        if tid is TheoremId.CFT:
-            if not eta:
-                issues.append((tid, w, "no critical point"))
-            elif lp.index(per) >= per:
-                issues.append(
-                    (tid, w, f"least critical point {lp.index(per) + 1} exceeds per(w)={per}")
-                )
-        elif tid is TheoremId.MIDPOINT:
-            if lp[mid - 1] != per:
-                issues.append(
-                    (tid, w, f"midpoint {mid} not critical: per(w,{mid})={lp[mid - 1]}, per={per}")
-                )
-        elif tid is TheoremId.UNIMODAL:
-            if not _is_unimodal(lp, mid):
-                issues.append((tid, w, f"local periods not unimodal: {lp}"))
-        elif tid is TheoremId.INTERVAL:
-            crit = _critical_points(lp, per)
-            interval = _critical_interval(crit)
-            if interval is None:
-                issues.append((tid, w, f"critical points not an interval: {crit}"))
-            elif not interval[0] <= mid <= interval[1]:
-                issues.append(
-                    (tid, w, f"interval [{interval[0]}, {interval[1]}] misses midpoint {mid}")
-                )
-        elif tid is TheoremId.OVERFLOW_IFF_SQUAREFREE:
-            all_overflow = all(
-                q > p or q > n - p for p, q in enumerate(lp, start=1)
-            )
-            sf = is_square_free(w)
-            if sf != all_overflow:
-                issues.append(
-                    (tid, w, f"square-free={sf} but every-point-overflow={all_overflow}")
-                )
-        elif tid is TheoremId.MIN_REP_UNBORDERED:
-            for p, q in enumerate(lp, 1):
-                u = _repetition_word(w, p, q)
-                if _has_border(u):
-                    issues.append((tid, w, f"repetition word {u!r} at p={p} is bordered"))
-        elif tid is TheoremId.NO_SELF_OVERLAP:
-            factors = {w[i:j] for i in range(n) for j in range(i + 1, n + 1)}
-            for x in sorted(factors):
-                if overlaps_self(x, w):
-                    issues.append((tid, w, f"factor {x!r} overlaps itself"))
-        elif tid is TheoremId.UPPER_BOUND:
-            if eta > n - 5:
-                issues.append((tid, w, f"eta={eta} exceeds |w|-5={n - 5}"))
-        elif tid is TheoremId.LOWER_BOUND:
-            if 4 * eta < n:
-                issues.append((tid, w, f"4*eta={4 * eta} below |w|={n}"))
-        elif tid is TheoremId.BETA_ETA:
-            if not is_square_free(w):
-                issues.append((tid, w, "family word not square-free"))
-            if per != n:
-                issues.append((tid, w, f"family word bordered: per={per} < {n}"))
-            if eta != n - 5:
-                issues.append((tid, w, f"eta={eta}, wanted |w|-5={n - 5}"))
-            noncrit = [p for p, q in enumerate(lp, 1) if q != per]
-            edges = [1, 2, n - 2, n - 1]
-            if noncrit != edges:
-                issues.append((tid, w, f"non-critical points {noncrit}, wanted {edges}"))
-                continue
-            for p, want in zip(edges, _BETA_EDGE):
-                q = lp[p - 1]
-                u = _repetition_word(w, p, q)
-                if (q, u) != want:
-                    issues.append(
-                        (tid, w, f"p={p}: per(w,p)={q}, u={u!r}, wanted {want[0]}, {want[1]!r}")
-                    )
-        elif tid is TheoremId.WX_DENSITY:
-            lx = (n - 8) // 4  # w = 0x02x10x02x0
-            k = (lx - 5).bit_length() // 2  # x = x_k has 4^k + 5 letters
-            if not is_square_free(w):
-                issues.append((tid, w, f"w_x for n={k} not square-free"))
-                continue
-            if eta != lx + 3:
-                issues.append((tid, w, f"n={k}: eta={eta}, wanted |x|+3={lx + 3}"))
-            if 4 * eta != n + 4:  # eta/|w| == 1/4 + 1/|w|
-                issues.append((tid, w, f"n={k}: eta/|w| is not exactly 1/4 + 1/|w|"))
-            interval = _critical_interval(_critical_points(lp, per))
-            want = (2 * lx + 4, 3 * lx + 6)
-            if interval != want:
-                issues.append((tid, w, f"n={k}: critical interval {interval}, wanted {want}"))
-        else:
-            raise RangeError(f"{tid.value} is not checked word by word")
+    for p, q in enumerate(lp, 1):
+        u = _repetition_word(w, p, q)
+        if _has_border(u):
+            issues.append(f"repetition word {u!r} at p={p} is bordered")
     return issues
+
+
+def _no_overlap(w: str, lp: list[int], per: int) -> Sequence[str]:
+    n = len(w)
+    factors = {w[i:j] for i in range(n) for j in range(i + 1, n + 1)}
+    return [f"factor {x!r} overlaps itself" for x in sorted(factors) if overlaps_self(x, w)]
+
+
+def _upper_bound(w: str, lp: list[int], per: int) -> Sequence[str]:
+    eta, n = lp.count(per), len(w)
+    if eta > n - 5:
+        return (f"eta={eta} exceeds |w|-5={n - 5}",)
+    return ()
+
+
+def _lower_bound(w: str, lp: list[int], per: int) -> Sequence[str]:
+    eta, n = lp.count(per), len(w)
+    if 4 * eta < n:
+        return (f"4*eta={4 * eta} below |w|={n}",)
+    return ()
+
+
+# Local periods and repetition words demanded of the four non-critical
+# points 1, 2, |w|-2 and |w|-1 of every maximal-eta family word.
+_BETA_EDGE = ((2, "10"), (4, "0201"), (4, "1202"), (2, "21"))
+
+
+def _beta_eta(w: str, lp: list[int], per: int) -> Sequence[str]:
+    eta, n = lp.count(per), len(w)
+    issues = []
+    if not is_square_free(w):
+        issues.append("family word not square-free")
+    if per != n:
+        issues.append(f"family word bordered: per={per} < {n}")
+    if eta != n - 5:
+        issues.append(f"eta={eta}, wanted |w|-5={n - 5}")
+    noncrit = [p for p, q in enumerate(lp, 1) if q != per]
+    edges = [1, 2, n - 2, n - 1]
+    if noncrit != edges:
+        issues.append(f"non-critical points {noncrit}, wanted {edges}")
+        return issues
+    for p, want in zip(edges, _BETA_EDGE):
+        q = lp[p - 1]
+        u = _repetition_word(w, p, q)
+        if (q, u) != want:
+            issues.append(f"p={p}: per(w,p)={q}, u={u!r}, wanted {want[0]}, {want[1]!r}")
+    return issues
+
+
+def _wx_density(w: str, lp: list[int], per: int) -> Sequence[str]:
+    eta, n = lp.count(per), len(w)
+    lx = (n - 8) // 4  # w = 0x02x10x02x0
+    k = (lx - 5).bit_length() // 2  # x = x_k has 4^k + 5 letters
+    if not is_square_free(w):
+        return [f"w_x for n={k} not square-free"]
+    issues = []
+    if eta != lx + 3:
+        issues.append(f"n={k}: eta={eta}, wanted |x|+3={lx + 3}")
+    if 4 * eta != n + 4:  # eta/|w| == 1/4 + 1/|w|
+        issues.append(f"n={k}: eta/|w| is not exactly 1/4 + 1/|w|")
+    interval = _critical_interval(_critical_points(lp, per))
+    want = (2 * lx + 4, 3 * lx + 6)
+    if interval != want:
+        issues.append(f"n={k}: critical interval {interval}, wanted {want}")
+    return issues
+
+
+_PREDICATES = {
+    TheoremId.CFT: _cft,
+    TheoremId.MIDPOINT: _midpoint,
+    TheoremId.UNIMODAL: _unimodal,
+    TheoremId.INTERVAL: _interval,
+    TheoremId.OVERFLOW_IFF_SQUAREFREE: _overflow,
+    TheoremId.MIN_REP_UNBORDERED: _rep_unbordered,
+    TheoremId.NO_SELF_OVERLAP: _no_overlap,
+    TheoremId.UPPER_BOUND: _upper_bound,
+    TheoremId.LOWER_BOUND: _lower_bound,
+    TheoremId.BETA_ETA: _beta_eta,
+    TheoremId.WX_DENSITY: _wx_density,
+}
+
+
+def _run_predicates(
+    checked: Iterable[tuple[str, list[int], int, str]], ids: tuple[TheoremId, ...]
+) -> tuple[int, list[tuple[TheoremId, str, str]]]:
+    """Number of (word, local periods, per(word), detail) quadruples in
+    ``checked``, and the (theorem, word, detail) issues that the
+    predicates of ``ids`` find on them; a detail says the routes
+    disagreed and fails every predicate.  Each id is looked up once,
+    before the first word, and RangeError names one that is not checked
+    word by word."""
+    predicates = []
+    for tid in ids:
+        if tid not in _PREDICATES:
+            raise RangeError(f"{tid.value} is not checked word by word")
+        predicates.append((tid, _PREDICATES[tid]))
+    tested = 0
+    found: list[tuple[TheoremId, str, str]] = []
+    for w, lp, per, detail in checked:
+        tested += 1
+        if detail:
+            found.extend((tid, w, detail) for tid in ids)
+            continue
+        for tid, predicate in predicates:
+            issues = predicate(w, lp, per)
+            if issues:
+                found.extend((tid, w, d) for d in issues)
+    return tested, found
 
 
 def _check_words(
     words: Iterable[tuple[str, list[int] | None, int | None]], ids: tuple[TheoremId, ...]
 ) -> tuple[int, list[tuple[TheoremId, str, str]]]:
-    """Number of (word, local periods, period) triples checked, and the
-    issues ``_check_word`` found."""
-    tested = 0
-    found: list[tuple[TheoremId, str, str]] = []
-    for w, lp, per, detail in _checked(words):
-        tested += 1
-        found.extend(_check_word(w, ids, lp, per, detail))
-    return tested, found
+    """Number of (word, local periods, period) triples checked by
+    ``_checked``, and the issues the predicates of ``ids`` found."""
+    return _run_predicates(_checked(words), ids)
 
 
 def _run_chunk(fold, universe, alphabet, min_len, max_len, prefix):
@@ -524,11 +603,6 @@ def _family_report(theorem, range_desc, words, start) -> VerificationReport:
     """The report of ``theorem``'s per-word predicates on ``words``."""
     tested, found = _check_words(((w, None, None) for w in words), (theorem,))
     return _report(theorem, range_desc, tested, found, start)
-
-
-# Local periods and repetition words demanded of the four non-critical
-# points 1, 2, |w|-2 and |w|-1 of every maximal-eta family word.
-_BETA_EDGE = ((2, "10"), (4, "0201"), (4, "1202"), (2, "21"))
 
 
 def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:

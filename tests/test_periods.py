@@ -14,6 +14,7 @@ from critfact import (
     beta_n,
     construct_wx,
     critical_interval,
+    global_period,
     is_local_period,
     is_unimodal,
     local_period,
@@ -261,7 +262,7 @@ def test_direct_route_mirror_symmetry_on_long_words():
 
 
 def test_single_words_run_no_trie_step(monkeypatch):
-    def refuse(s, lp):
+    def refuse(s, lp, per):
         raise AssertionError("the trie step ran on a single word")
 
     monkeypatch.setattr(squarefree_module, "_extend_local_periods", refuse)
@@ -276,7 +277,7 @@ def _stepped_prefixes(w):
     trie step gives it, starting from a one-letter word's empty list."""
     lp = []
     for k in range(2, len(w) + 1):
-        lp = _extend_local_periods(w[:k], lp)
+        lp = _extend_local_periods(w[:k], lp, global_period(w[:k]))
         yield w[:k], lp
 
 

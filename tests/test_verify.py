@@ -19,7 +19,7 @@ from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods, local_periods_scan
 from critfact.squarefree import count_square_free, find_square, is_square_free, square_free_words
 from critfact.thue import x_n
-from critfact.verify import _check_word, _check_words
+from critfact.verify import _check_words, _run_predicates
 from critfact.words import _has_border, global_period
 
 from conftest import all_words, brute_border
@@ -310,6 +310,8 @@ BETA_WORD = "01020120210201210120212"  # beta_family(1, 10**4)[0]
             "n=1: critical interval (1, 3), wanted (2, 3)",
         ]),
         ("0000", TheoremId.WX_DENSITY, None, None, ["w_x for n=1 not square-free"]),
+        ("00", TheoremId.OVERFLOW_IFF_SQUAREFREE, [2], 1,
+         ["square-free=False but every-point-overflow=True"]),
     ],
 )
 def test_every_per_word_predicate_can_fail(w, tid, lp, per, details):
@@ -317,7 +319,7 @@ def test_every_per_word_predicate_can_fail(w, tid, lp, per, details):
     # word of the suite's universe breaks its theorem
     if lp is None:
         lp, per = local_periods(w), global_period(w)
-    assert _check_word(w, (tid,), lp, per, "") == [(tid, w, d) for d in details]
+    assert _run_predicates([(w, lp, per, "")], (tid,)) == (1, [(tid, w, d) for d in details])
 
 
 ALPHA_LIKE_13 = "01" + "2" * 11  # unbordered, 01 only as its prefix
@@ -350,7 +352,31 @@ def test_alpha_extremal_refuses_a_search_past_its_cap(monkeypatch):
 
 def test_only_per_word_predicates_are_checked_word_by_word():
     with pytest.raises(RangeError, match="^alpha-extremal is not checked word by word$"):
-        _check_word("012", (TheoremId.ALPHA_EXTREMAL,), [1, 1], 3, "")
+        _run_predicates([("012", [1, 1], 3, "")], (TheoremId.ALPHA_EXTREMAL,))
+
+
+def test_theorems_not_checked_word_by_word_are_refused_before_the_first_word():
+    def refuse(w):
+        raise AssertionError("a word was checked")
+
+    for words in ([], map(refuse, ["012"])):
+        with pytest.raises(RangeError, match="^alpha-extremal is not checked word by word$"):
+            _check_words(words, (TheoremId.CFT, TheoremId.ALPHA_EXTREMAL))
+
+
+def test_overflow_asks_the_square_oracle_only_of_square_free_words(monkeypatch):
+    # every other word shows a centred square that its letters confirm
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return is_square_free(w)
+
+    monkeypatch.setattr(verify_module, "is_square_free", counted)
+    report = verify(TheoremId.OVERFLOW_IFF_SQUAREFREE, 2, 8)
+    assert (report.verdict, report.tested) == ("PASS", sum(3**n for n in range(2, 9)))
+    assert len(calls) == sum(count_square_free(n) for n in range(2, 9)) == 246
+    assert all(is_square_free(w) for w in calls)
 
 
 def test_check_word_flags_violations():
@@ -379,8 +405,8 @@ def test_check_word_route_disagreement_fails_every_predicate(monkeypatch):
 def test_scan_guards_the_trie_step(monkeypatch):
     step = squarefree_module._extend_local_periods
 
-    def one_wrong_value(s, lp):
-        out = step(s, lp)
+    def one_wrong_value(s, lp, per):
+        out = step(s, lp, per)
         if s == "01201":
             out[-1] += 1
         return out
@@ -394,6 +420,18 @@ def test_scan_guards_the_trie_step(monkeypatch):
     assert ("01201", detail) in report.counterexamples
     # only the word and the descendants that inherit its periods fail
     assert all(w.startswith("01201") for w, _ in report.counterexamples)
+
+
+def test_scan_guards_the_trie_steps_period_range(monkeypatch):
+    # where a position's window covers the whole word the step assigns
+    # the per(s) it is handed, so a wrong one must reach the scan
+    step = squarefree_module._extend_local_periods
+    monkeypatch.setattr(
+        squarefree_module, "_extend_local_periods", lambda s, lp, per: step(s, lp, per + 1)
+    )
+    report = verify(TheoremId.CFT, 2, 8)
+    assert report.verdict == "FAIL"
+    assert all(d.startswith("local-period routes disagree: ") for _, d in report.counterexamples)
 
 
 def test_chunk_prefixes_are_fed_local_periods(monkeypatch):
@@ -595,8 +633,8 @@ def test_explore_problem2():
 def test_scan_guards_the_problem2_walk(monkeypatch):
     step = squarefree_module._extend_local_periods
 
-    def one_wrong_value(s, lp):
-        out = step(s, lp)
+    def one_wrong_value(s, lp, per):
+        out = step(s, lp, per)
         if s == "0120":
             out[0] += 1
         return out
@@ -639,8 +677,8 @@ def test_scan_slices_hand_each_word_its_own_scan(monkeypatch, size):
     step = squarefree_module._extend_local_periods
     bad = sorted(square_free_words(12))[150]  # one of 264 words of length 12
 
-    def one_wrong_value(w, lp):
-        out = step(w, lp)
+    def one_wrong_value(w, lp, per):
+        out = step(w, lp, per)
         if w == bad:
             out[0] += 1
         return out
