@@ -11,8 +11,11 @@ resource envelope.  Each is one ``Limits`` field, set by the variable
 A variable is read when a call checks its ceiling, never at import, and
 must hold a positive integer; any other value raises RangeError.
 
-These fields are the only limits: no suite or search keeps a cap of its
-own.  Every word a run will grow, each length from 0 up and any random
+These fields are the only limits a caller sets.  One search keeps a
+guard of its own: ``verify._ALPHA_SEARCH_CAP`` = 64 stops the
+alpha-extremal search, whose tree has 34 words of at most 14 letters,
+so that a faulty letter test fails instead of walking without end.
+Every word a run will grow, each length from 0 up and any random
 words, is held to the word ceiling by ``_hold_words``: before the walk
 in the range suites, so a run past it never starts, and word by word in
 ``explore problem1``, whose search stops at each length's first witness.

@@ -384,14 +384,9 @@ def critical_interval(prof: PeriodProfile) -> tuple[int, int] | None:
 
 def _is_unimodal(lp, m: int) -> bool:
     """Whether the local periods ``lp`` rise up to position ``m`` and
-    fall after it."""
-    for p in range(2, m + 1):
-        if lp[p - 2] > lp[p - 1]:
-            return False
-    for p in range(m + 1, len(lp) + 1):
-        if lp[p - 1] > lp[p - 2]:
-            return False
-    return True
+    fall after it: lp[:m] ascends and lp[m-1:] descends."""
+    rise, fall = list(lp[:m]), list(lp[m - 1 :])
+    return rise == sorted(rise) and fall == sorted(fall, reverse=True)
 
 
 def is_unimodal(prof: PeriodProfile) -> bool:

@@ -39,8 +39,8 @@ from math import perm
 from typing import Callable, Iterator
 
 from .config import _check_profile_len, _hold_words
-from .errors import EmptyFactor, RangeError, ResourceGuard
-from .words import TERNARY, _check_alphabet, border_array
+from .errors import EmptyFactor
+from .words import TERNARY, _check_alphabet, _check_count, border_array
 
 # is_square_free sends words up to this length to find_square, although
 # has_square is faster at every such length.  The fork stays only because
@@ -257,12 +257,12 @@ def square_free_range(
 
     ``prefix`` restricts the walk to extensions of a (square-free)
     stem; only tests pass one.  A non-square-free prefix yields nothing.
-    Raises RangeError for negative lengths or a bad alphabet, and
-    ResourceGuard before the walk when ``max_len`` exceeds the profile
-    ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
+    Raises RangeError for a length that is not an int >= 0 or a bad
+    alphabet, and ResourceGuard before the walk when ``max_len`` exceeds
+    the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
     """
-    if min(min_len, max_len) < 0:
-        raise RangeError(f"need lengths >= 0, got {min_len}..{max_len}")
+    _check_count(min_len, 0, "min_len")
+    _check_count(max_len, 0, "max_len")
     _check_alphabet(alphabet)
     _check_profile_len(max_len, "max length")
     if min_len > max_len or len(prefix) > max_len or not is_square_free(prefix):
@@ -292,13 +292,12 @@ def _counts_by_length(max_len: int, alphabet: str, extra: int = 0) -> tuple[list
     from the representatives of the one before, each grown by
     ``extend_square_free`` with the letters it uses and the next one,
     so no more than two lengths' representatives are held at once.
-    Raises RangeError for a negative length or a bad alphabet and
-    ResourceGuard when ``max_len`` passes the profile ceiling, all
+    Raises RangeError for a length not an int >= 0 or a bad alphabet
+    and ResourceGuard when ``max_len`` passes the profile ceiling, all
     before the first word, and ``_hold_words`` at the first length at
     which ``extra`` plus the words counted pass the word ceiling.
     """
-    if max_len < 0:
-        raise RangeError(f"need length >= 0, got {max_len}")
+    _check_count(max_len, 0, "length")
     _check_alphabet(alphabet)
     _check_profile_len(max_len, "max length")
     k = len(alphabet)

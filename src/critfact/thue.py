@@ -24,8 +24,8 @@ Families (all ternary):
 from __future__ import annotations
 
 from .config import DEFAULT_LIMITS
-from .errors import AlphabetError, InsufficientBound, RangeError, ResourceGuard
-from .words import parse_word
+from .errors import AlphabetError, InsufficientBound, ResourceGuard
+from .words import _check_count, parse_word
 
 TAU = {"0": "012", "1": "02", "2": "1"}
 
@@ -45,8 +45,7 @@ def tau_iter(letter: str, n: int) -> str:
     |tau^n(2)| = 2^(n-1) for n >= 1.  Guarded by the configured prefix
     ceiling, checked on that length before iterating.
     """
-    if n < 0:
-        raise RangeError(f"iteration count must be >= 0, got {n}")
+    _check_count(n, 0, "n")
     if letter not in TAU:
         raise AlphabetError(f"letter {letter!r} outside the ternary alphabet")
     cap = DEFAULT_LIMITS.max_prefix_len
@@ -70,8 +69,7 @@ def m_prefix(length: int) -> str:
     truncates.  Guarded by the configured prefix ceiling.
     """
     global _m_cache
-    if length < 0:
-        raise RangeError(f"prefix length must be >= 0, got {length}")
+    _check_count(length, 0, "length")
     cap = DEFAULT_LIMITS.max_prefix_len
     if length > cap:
         raise ResourceGuard(f"prefix length {length} exceeds the ceiling {cap}")
@@ -85,8 +83,7 @@ def m_n(n: int) -> str:
 
     Length 4^n - 1; followed by "0" it is a prefix of m.
     """
-    if n < 1:
-        raise RangeError(f"need n >= 1, got {n}")
+    _check_count(n, 1, "n")
     cap = DEFAULT_LIMITS.max_prefix_len
     # 4^n - 1 >= 2^n: a huge n fails on the exponent alone, as in tau_iter
     if n > cap.bit_length() or 4**n - 1 > cap:
@@ -129,8 +126,7 @@ def beta_family(count: int, search_bound: int) -> list[str]:
     Raises InsufficientBound when the scanned prefix hosts fewer than
     ``count`` hits.
     """
-    if count < 1:
-        raise RangeError(f"need count >= 1, got {count}")
+    _check_count(count, 1, "count")
     m = m_prefix(search_bound)
     words = []
     i = m.find("10201", 9)

@@ -77,7 +77,7 @@ from .squarefree import (
     square_free_words,
 )
 from .thue import beta_family, construct_wx, x_n
-from .words import TERNARY, _check_alphabet, _has_border, global_period
+from .words import TERNARY, _check_alphabet, _check_count, _check_span, _has_border, global_period
 
 
 class TheoremId(str, Enum):
@@ -123,10 +123,10 @@ class VerifyOptions:
     ``random_count`` adds that many pseudo-random square-free words of
     length ``random_min``..``random_max`` (seeded, so reports stay
     deterministic) after the exhaustive part; used to spot-check length
-    ranges too large to exhaust.  It needs ``random_count >= 0`` and,
-    when positive, ``2 <= random_min <= random_max`` within the profile
-    ceiling; the random words count against the word ceiling with the
-    exhaustive part.
+    ranges too large to exhaust.  It needs an int ``random_count >= 0``
+    and, when positive, ints ``2 <= random_min <= random_max`` within the
+    profile ceiling and an int ``seed``; the random words count against
+    the word ceiling with the exhaustive part.
     """
 
     alphabet: str = TERNARY
@@ -436,8 +436,7 @@ def random_square_free(length: int, rng: random.Random, alphabet: str = TERNARY)
     length exists over ``alphabet``, and ResourceGuard for a length past
     the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
     """
-    if length < 0:
-        raise RangeError(f"need length >= 0, got {length}")
+    _check_count(length, 0, "length")
     _check_alphabet(alphabet)
     _check_profile_len(length, "length")
     w = ""
@@ -496,24 +495,20 @@ def verify_many(
         raise RangeError("cannot share one enumeration across different universes")
     universe = universes.pop()
     _check_alphabet(opts.alphabet)
-    if opts.jobs < 1:
-        raise RangeError(f"need jobs >= 1, got {opts.jobs}")
-    if not 2 <= min_len <= max_len:
-        raise RangeError(f"need 2 <= min <= max, got {min_len}..{max_len}")
+    _check_count(opts.jobs, 1, "jobs")
+    _check_span(min_len, max_len, 2, "min <= max")
     if TheoremId.UPPER_BOUND in ids and min_len < 26:
         raise RangeError("the upper-bound suite needs min length >= 26")
     if TheoremId.UPPER_BOUND in ids and len(opts.alphabet) != 3:
         raise RangeError(
             f"the upper-bound suite is stated for three letters, got {opts.alphabet!r}"
         )
-    if opts.random_count < 0:
-        raise RangeError(f"need random_count >= 0, got {opts.random_count}")
-    if opts.random_count and not 2 <= opts.random_min <= opts.random_max:
-        raise RangeError(
-            f"need 2 <= random_min <= random_max, got {opts.random_min}..{opts.random_max}"
-        )
+    _check_count(opts.random_count, 0, "random_count")
     if opts.random_count:
+        _check_span(opts.random_min, opts.random_max, 2, "random_min <= random_max")
         _check_profile_len(opts.random_max, "random_max")  # random words are profiled too
+        if not isinstance(opts.seed, int):
+            raise RangeError(f"need an int seed, got {opts.seed!r}")
 
     start = time.perf_counter()
     fold = partial(_check_words, ids=ids)
@@ -526,7 +521,7 @@ def verify_many(
         "universe": universe,
         "alphabet": opts.alphabet,
     }
-    if opts.random_count > 0:
+    if opts.random_count:
         rng = random.Random(opts.seed)
         words = (
             random_square_free(rng.randint(opts.random_min, opts.random_max), rng, opts.alphabet)
@@ -624,8 +619,7 @@ def verify_wx_density(n_max: int) -> VerificationReport:
     the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``, as it is built;
     |w| = 4^(n+1) + 28 grows past the default 5000 at n = 6.
     """
-    if n_max < 1:
-        raise RangeError(f"need n_max >= 1, got {n_max}")
+    _check_count(n_max, 1, "n_max")
     start = time.perf_counter()
     words = []
     for n in range(1, n_max + 1):
@@ -651,8 +645,7 @@ def explore_problem1(len_min: int, len_max: int) -> dict:
     first length.  Each length's search stops at its first witness, so
     the words searched cannot be counted ahead: each x is held to the
     word ceiling, ``CRITFACT_MAX_WORDS``, as it is searched."""
-    if not 1 <= len_min <= len_max:
-        raise RangeError(f"need 1 <= min <= max, got {len_min}..{len_max}")
+    _check_span(len_min, len_max, 1, "min <= max")
     _check_profile_len(len_max, "max length")
     hold = _hold_words()
     rows = []
@@ -695,8 +688,7 @@ def explore_problem2(len_max: int) -> dict:
     counted length by length against the word ceiling,
     ``CRITFACT_MAX_WORDS``, and ``len_max`` is held to the profile
     ceiling, ``CRITFACT_MAX_PROFILE_LEN``."""
-    if len_max < 4:
-        raise RangeError(f"need len_max >= 4, got {len_max}")
+    _check_count(len_max, 4, "len_max")
     rows = {
         length: {"length": length, "minExcess": None, "witnesses": [], "tested": 0}
         for length in range(4, len_max + 1, 4)

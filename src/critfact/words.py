@@ -31,9 +31,24 @@ def parse_word(text: str, alphabet: str = TERNARY) -> str:
 
 
 def _check_alphabet(alphabet: str) -> None:
-    """Raise RangeError unless ``alphabet`` is nonempty, of distinct letters."""
-    if not alphabet or len(set(alphabet)) != len(alphabet):
+    """Raise RangeError unless ``alphabet`` is a nonempty string of
+    distinct letters."""
+    if not isinstance(alphabet, str) or not alphabet or len(set(alphabet)) != len(alphabet):
         raise RangeError(f"need a nonempty alphabet of distinct letters, got {alphabet!r}")
+
+
+def _check_count(value: int, least: int, name: str) -> None:
+    """Raise RangeError naming ``name`` unless ``value`` is an int of at
+    least ``least``."""
+    if not isinstance(value, int) or value < least:
+        raise RangeError(f"need {name} >= {least}, got {value!r}")
+
+
+def _check_span(lo: int, hi: int, least: int, names: str) -> None:
+    """Raise RangeError naming ``names``, such as "min <= max", unless
+    ``lo`` and ``hi`` are ints with least <= lo <= hi."""
+    if not (isinstance(lo, int) and isinstance(hi, int) and least <= lo <= hi):
+        raise RangeError(f"need {least} <= {names}, got {lo!r}..{hi!r}")
 
 
 def border_array(w: str) -> list[int]:

@@ -104,6 +104,13 @@ def test_profile_takes_json_or_csv_not_both(capsys):
     assert captured.err == "critfact: error: profile takes --json or --csv, not both\n"
 
 
+def test_profile_needs_a_word_or_a_file(capsys):
+    assert run(["profile"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "critfact: error: profile needs a WORD argument or --file PATH\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--csv"]])
 def test_profile_rejects_an_empty_file(capsys, tmp_path, flags):
     path = tmp_path / "words.txt"

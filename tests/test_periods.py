@@ -398,6 +398,8 @@ def test_profile_too_short():
         profile("0")
     with pytest.raises(TooShort):
         profile("")
+    with pytest.raises(TooShort, match=r"^need \|w\| >= 2, got 1$"):
+        local_periods("0")
 
 
 def test_midpoint():

@@ -257,6 +257,15 @@ def test_square_free_range_covers_all_lengths():
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "min_len, max_len, prefix",
+    [(5, 4, ""), (2, 3, "0120"), (2, 6, "0101")],
+    ids=["min-past-max", "prefix-past-max", "prefix-with-a-square"],
+)
+def test_square_free_range_can_be_empty(min_len, max_len, prefix):
+    assert list(square_free_range(min_len, max_len, prefix=prefix)) == []
+
+
 def test_square_free_range_rejects_negative_lengths():
     with pytest.raises(RangeError):
         square_free_range(-1, 3)

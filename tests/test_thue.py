@@ -66,6 +66,15 @@ def test_m_prefix_values():
     assert m_prefix(24) == tau_iter("0", 4)
 
 
+def test_m_prefix_refuses_a_negative_length_and_one_past_the_ceiling(monkeypatch):
+    with pytest.raises(RangeError, match="^need length >= 0, got -1$"):
+        m_prefix(-1)
+    monkeypatch.setenv("CRITFACT_MAX_PREFIX_LEN", "1000")
+    assert len(m_prefix(1000)) == 1000
+    with pytest.raises(ResourceGuard, match="^prefix length 1001 exceeds the ceiling 1000$"):
+        m_prefix(1001)
+
+
 def test_m_prefix_properties():
     w = m_prefix(500)
     assert is_square_free(w)

@@ -17,8 +17,14 @@ from critfact import periods as periods_module
 from critfact import squarefree as squarefree_module
 from critfact.errors import CritfactError, ResourceGuard
 from critfact.periods import local_periods, local_periods_scan
-from critfact.squarefree import count_square_free, find_square, is_square_free, square_free_words
-from critfact.thue import x_n
+from critfact.squarefree import (
+    count_square_free,
+    find_square,
+    is_square_free,
+    square_free_range,
+    square_free_words,
+)
+from critfact.thue import m_n, m_prefix, tau_iter, x_n
 from critfact.verify import _check_words, _run_predicates
 from critfact.words import _has_border, global_period
 
@@ -87,6 +93,11 @@ def test_verify_many_shares_one_pass():
 def test_verify_many_rejects_mixed_universes():
     with pytest.raises(RangeError):
         verify_many([TheoremId.CFT, TheoremId.MIDPOINT], 2, 5)
+
+
+def test_verify_many_needs_a_theorem():
+    with pytest.raises(RangeError, match="^no theorems requested$"):
+        verify_many([], 2, 5)
 
 
 def test_theorems_may_be_named_by_their_tokens(monkeypatch):
@@ -312,6 +323,10 @@ BETA_WORD = "01020120210201210120212"  # beta_family(1, 10**4)[0]
         ("0000", TheoremId.WX_DENSITY, None, None, ["w_x for n=1 not square-free"]),
         ("00", TheoremId.OVERFLOW_IFF_SQUAREFREE, [2], 1,
          ["square-free=False but every-point-overflow=True"]),
+        # falls before the midpoint 2; rises after the midpoint 3
+        ("012", TheoremId.UNIMODAL, [2, 1], 3, ["local periods not unimodal: [2, 1]"]),
+        ("01201", TheoremId.UNIMODAL, [1, 2, 2, 3], 3,
+         ["local periods not unimodal: [1, 2, 2, 3]"]),
     ],
 )
 def test_every_per_word_predicate_can_fail(w, tid, lp, per, details):
@@ -513,6 +528,15 @@ def test_rep_unbordered_flags_bordered_repetition_words(monkeypatch):
         for w in all_words(4)
         for p in (1, 3)
     )
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "1"])
+def test_random_words_need_an_int_seed(monkeypatch, seed):
+    # seed=None would draw other words, and maybe other counterexamples, on each run
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    opts = VerifyOptions(random_count=1, random_min=4, random_max=5, seed=seed)
+    with pytest.raises(RangeError, match=f"^need an int seed, got {re.escape(repr(seed))}$"):
+        verify(TheoremId.MIDPOINT, 2, 3, opts)
 
 
 def test_random_extension_rejects_negative_count():
@@ -885,11 +909,46 @@ def test_every_entry_refuses_a_bad_alphabet():
         ("001", lambda a: random_square_free(4, random.Random(0), a)),
         ("", lambda a: count_square_free(3, a)),
         ("00", lambda a: verify(TheoremId.CFT, 2, 3, VerifyOptions(alphabet=a))),
+        (["ab", "c"], lambda a: verify(TheoremId.CFT, 2, 3, VerifyOptions(alphabet=a))),
+        (["0", "1", "2"], lambda a: verify(TheoremId.CFT, 2, 3, VerifyOptions(alphabet=a))),
     )
     for alphabet, call in calls:
         message = f"need a nonempty alphabet of distinct letters, got {alphabet!r}"
         with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
             call(alphabet)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: square_free_range(2.0, 3), "need min_len >= 0, got 2.0"),
+        (lambda: square_free_range(2, 3.5), "need max_len >= 0, got 3.5"),
+        (lambda: count_square_free(5.0), "need length >= 0, got 5.0"),
+        (lambda: tau_iter("0", 2.0), "need n >= 0, got 2.0"),
+        (lambda: m_prefix(3.0), "need length >= 0, got 3.0"),
+        (lambda: m_n(1.0), "need n >= 1, got 1.0"),
+        (lambda: verify_beta_eta(1.5, 1000), "need count >= 1, got 1.5"),
+        (lambda: random_square_free(5.5, random.Random(1)), "need length >= 0, got 5.5"),
+        (lambda: verify(TheoremId.MIDPOINT, 2, 4, VerifyOptions(jobs=2.5)),
+         "need jobs >= 1, got 2.5"),
+        (lambda: verify(TheoremId.MIDPOINT, 2.0, 5), "need 2 <= min <= max, got 2.0..5"),
+        (lambda: verify(TheoremId.MIDPOINT, 2, 5.5), "need 2 <= min <= max, got 2..5.5"),
+        (lambda: verify(TheoremId.MIDPOINT, 2, 3, VerifyOptions(random_count=1.5)),
+         "need random_count >= 0, got 1.5"),
+        (lambda: verify(TheoremId.MIDPOINT, 2, 3,
+                        VerifyOptions(random_count=1, random_min=2.5, random_max=4)),
+         "need 2 <= random_min <= random_max, got 2.5..4"),
+        (lambda: verify_wx_density(1.5), "need n_max >= 1, got 1.5"),
+        (lambda: explore_problem1(1, 3.0), "need 1 <= min <= max, got 1..3.0"),
+        (lambda: explore_problem2(8.0), "need len_max >= 4, got 8.0"),
+        (lambda: explore_problem2("8"), "need len_max >= 4, got '8'"),
+    ],
+)
+def test_every_count_must_be_an_int(monkeypatch, call, message):
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 4)  # jobs read at any CPU count
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_wx_density_checks_each_word_as_it_is_built(monkeypatch):
