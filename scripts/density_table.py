@@ -8,12 +8,10 @@ plotting elsewhere.
 """
 
 import argparse
-import os
 import sys
 
-from critfact import (
-    CritfactError, Limits, RangeError, beta_family, construct_wx, m_prefix, profile, x_n,
-)
+from critfact import RangeError, beta_family, construct_wx, m_prefix, profile, x_n
+from critfact.cli import _run
 
 
 def table(rows) -> list[str]:
@@ -29,16 +27,8 @@ def table(rows) -> list[str]:
     return lines
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--family", choices=["m-prefix", "wx", "beta"], default="m-prefix")
-    ap.add_argument("--n", type=int, default=4, help="largest wx index")
-    ap.add_argument("--lengths", type=int, nargs="*", default=[10, 20, 40, 80, 160, 320])
-    ap.add_argument("--count", type=int, default=5)
-    ap.add_argument("--bound", type=int, default=10**5)
-    args = ap.parse_args()
-    Limits.from_env()  # a bad CRITFACT_* value fails before any row
-
+def print_table(args) -> int:
+    """Print the table of the chosen family; 0 once it is printed."""
     if args.family == "m-prefix":
         rows = [("m-prefix", L, m_prefix(L)) for L in args.lengths]
     elif args.family == "wx":
@@ -55,8 +45,11 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except (CritfactError, OSError) as exc:
-        print(f"{os.path.basename(sys.argv[0])}: error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--family", choices=["m-prefix", "wx", "beta"], default="m-prefix")
+    ap.add_argument("--n", type=int, default=4, help="largest wx index")
+    ap.add_argument("--lengths", type=int, nargs="*", default=[10, 20, 40, 80, 160, 320])
+    ap.add_argument("--count", type=int, default=5)
+    ap.add_argument("--bound", type=int, default=10**5)
+    ap.set_defaults(handler=print_table)
+    sys.exit(_run(ap))

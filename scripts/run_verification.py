@@ -9,14 +9,11 @@ JSON document with every report.
 
 import argparse
 import json
-import os
 import sys
 import time
 from contextlib import nullcontext
 
 from critfact import (
-    CritfactError,
-    Limits,
     TheoremId,
     VerifyOptions,
     verify,
@@ -25,6 +22,7 @@ from critfact import (
     verify_many,
     verify_wx_density,
 )
+from critfact.cli import _run
 
 
 def battery(deep: bool, jobs: int) -> list:
@@ -76,14 +74,8 @@ def battery(deep: bool, jobs: int) -> list:
     return reports
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--deep", action="store_true", help="acceptance-scale ranges")
-    ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--out", default=None)
-    args = ap.parse_args()
-    Limits.from_env()  # a bad CRITFACT_* value fails before any report
-
+def write_battery(args) -> int:
+    """Write the battery's document; 1 on a FAIL verdict, else 0."""
     # --out is opened first, so a bad path fails before the battery runs
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
         t0 = time.perf_counter()
@@ -100,8 +92,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except (CritfactError, OSError) as exc:
-        print(f"{os.path.basename(sys.argv[0])}: error: {exc}", file=sys.stderr)
-        sys.exit(2)
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--deep", action="store_true", help="acceptance-scale ranges")
+    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--out", default=None)
+    ap.set_defaults(handler=write_battery)
+    sys.exit(_run(ap))

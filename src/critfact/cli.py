@@ -304,8 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def _run(parser: argparse.ArgumentParser, argv: list[str] | None = None) -> int:
+    """Parse ``argv`` with ``parser`` and return the exit code of the
+    ``handler`` it sets: 2 on a usage error, and 2 after one ``prog:
+    error:`` line when the CRITFACT_* limits, read after parsing, or the
+    handler raise CritfactError or OSError."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -314,8 +317,12 @@ def run(argv: list[str] | None = None) -> int:
         Limits.from_env()  # a bad CRITFACT_* value fails every command alike
         return args.handler(args)
     except (CritfactError, OSError) as exc:
-        print(f"critfact: error: {exc}", file=sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+
+
+def run(argv: list[str] | None = None) -> int:
+    return _run(build_parser(), argv)
 
 
 def main() -> None:

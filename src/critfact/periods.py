@@ -54,7 +54,7 @@ from fractions import Fraction
 from .config import _check_profile_len
 from .errors import InvalidPeriod, InvalidPosition, RangeError, TooShort
 from .squarefree import is_square_free
-from .words import global_period
+from .words import _check_word, global_period
 
 
 def _least_local_period(w: str, p: int, q: int = 1) -> int:
@@ -131,6 +131,7 @@ def local_periods_scan(w: str, block: int | None = None) -> list[int]:
     shortcuts, so it can serve as the oracle for the trie step and the
     direct route.
     """
+    _check_word(w)
     size = len(w)
     n = size if block is None else block
     if n < 2:
@@ -232,6 +233,7 @@ def local_periods(w: str) -> list[int]:
     """Minimal local periods at every position 1..|w|-1, by the direct
     route; ``_local_periods`` has the method.
     """
+    _check_word(w)
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")
@@ -350,6 +352,7 @@ def profile(w: str) -> PeriodProfile:
 
     Guarded by the profile length ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
     """
+    _check_word(w)
     n = len(w)
     if n < 2:
         raise TooShort(f"need |w| >= 2, got {n}")

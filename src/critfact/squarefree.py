@@ -40,7 +40,7 @@ from typing import Callable, Iterator
 
 from .config import _check_profile_len, _hold_words
 from .errors import EmptyFactor
-from .words import TERNARY, _check_alphabet, _check_count, border_array
+from .words import TERNARY, _check_alphabet, _check_count, _check_word, border_array
 
 # is_square_free sends words up to this length to find_square, although
 # has_square is faster at every such length.  The fork stays only because
@@ -257,10 +257,12 @@ def square_free_range(
 
     ``prefix`` restricts the walk to extensions of a (square-free)
     stem; only tests pass one.  A non-square-free prefix yields nothing.
-    Raises RangeError for a length that is not an int >= 0 or a bad
-    alphabet, and ResourceGuard before the walk when ``max_len`` exceeds
-    the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
+    Raises AlphabetError for a prefix that is not a str, RangeError for
+    a length that is not an int >= 0 or a bad alphabet, and ResourceGuard
+    before the walk when ``max_len`` exceeds the profile ceiling,
+    ``CRITFACT_MAX_PROFILE_LEN``.
     """
+    _check_word(prefix)
     _check_count(min_len, 0, "min_len")
     _check_count(max_len, 0, "max_len")
     _check_alphabet(alphabet)
@@ -350,9 +352,7 @@ def overlaps_self(x: str, w: str) -> bool:
     i = w.find(x)
     while i != -1:
         j = w.find(x, i + 1)
-        if j == -1:
-            return False
-        if j - i < span:
+        if j != -1 and j - i < span:
             return True
         i = j
     return False

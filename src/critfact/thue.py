@@ -81,14 +81,14 @@ def m_prefix(length: int) -> str:
 def m_n(n: int) -> str:
     """The word tau^(2n-1)(0) tau^(2n-3)(0) ... tau^3(0) tau(0).
 
-    Length 4^n - 1; followed by "0" it is a prefix of m.
+    Followed by "0" it is a prefix of m: m_n is m[:4^n - 1], from the cache.
     """
     _check_count(n, 1, "n")
     cap = DEFAULT_LIMITS.max_prefix_len
     # 4^n - 1 >= 2^n: a huge n fails on the exponent alone, as in tau_iter
     if n > cap.bit_length() or 4**n - 1 > cap:
         raise ResourceGuard(f"|m_n({n})| = 4^{n} - 1 exceeds the configured ceiling")
-    return "".join(tau_iter("0", 2 * i - 1) for i in range(n, 0, -1))
+    return m_prefix(4**n - 1)
 
 
 def alpha_n(n: int) -> str:
@@ -127,6 +127,7 @@ def beta_family(count: int, search_bound: int) -> list[str]:
     ``count`` hits.
     """
     _check_count(count, 1, "count")
+    _check_count(search_bound, 0, "search_bound")
     m = m_prefix(search_bound)
     words = []
     i = m.find("10201", 9)

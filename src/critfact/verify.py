@@ -28,8 +28,8 @@ processes, and returns ``fold(walk)`` of each chunk in prefix order, so
 the merged result does not depend on the worker count.  Each chunk runs
 ``_walk_periods``; the chunk prefixes and the 01-constrained search of
 ``verify_alpha_extremal`` run the plain walker ``_walk``, which yields
-words only.  Both take the letter test that ``_letter_test`` reads when
-the chunk runs; the all-words universe has none.  A range in which the
+words only.  Both test letters with ``extend_square_free``, read when
+the chunk runs, but not in the all-words universe.  A range in which the
 universe holds no word is refused, so no suite passes on zero words.
 
 The range suites, ``verify_beta_eta`` and ``verify_wx_density``, whose
@@ -109,11 +109,6 @@ _UNIVERSE = {
     TheoremId.UPPER_BOUND: "square-free",
     TheoremId.LOWER_BOUND: "square-free",
 }
-
-
-def _letter_test(universe: str):
-    """The letter test of ``universe``, read at call time, or None."""
-    return None if universe == "all" else extend_square_free
 
 
 @dataclass(frozen=True)
@@ -385,7 +380,9 @@ def _run_chunk(fold, universe, alphabet, min_len, max_len, prefix):
     """``fold(walk)`` of the walk below ``prefix``, seeded with
     ``local_periods(prefix)`` and stepped down the trie from there."""
     lp = local_periods(prefix)
-    return fold(_walk_periods(prefix, min_len, max_len, alphabet, _letter_test(universe), lp))
+    # the letter test is read when the chunk runs, so a rebound one is seen
+    accept = None if universe == "all" else extend_square_free
+    return fold(_walk_periods(prefix, min_len, max_len, alphabet, accept, lp))
 
 
 def _count_universe(universe: str, alphabet: str, min_len: int, max_len: int, extra: int) -> None:
@@ -419,7 +416,8 @@ def _run_universe(fold, universe, alphabet, min_len, max_len, jobs=1, extra=0) -
     most ``jobs`` processes."""
     _count_universe(universe, alphabet, min_len, max_len, extra)
     depth = min(3, min_len)
-    prefixes = list(_walk("", depth, depth, alphabet, _letter_test(universe)))
+    accept = None if universe == "all" else extend_square_free
+    prefixes = list(_walk("", depth, depth, alphabet, accept))
     run = partial(_run_chunk, fold, universe, alphabet, min_len, max_len)
     jobs = min(jobs, len(prefixes), os.cpu_count() or 1)
     if jobs > 1:
@@ -432,13 +430,15 @@ def random_square_free(length: int, rng: random.Random, alphabet: str = TERNARY)
     """A pseudo-random square-free word of the given length, by iterative
     depth-first search that tries the letters at each depth in random
     order and backtracks from dead ends.  Raises RangeError for a
-    negative length, a bad alphabet, or when no square-free word of that
-    length exists over ``alphabet``, and ResourceGuard for a length past
-    the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
+    negative length, a bad alphabet or ``rng``, or when no square-free
+    word of that length exists over ``alphabet``, and ResourceGuard for
+    a length past the profile ceiling, ``CRITFACT_MAX_PROFILE_LEN``.
     """
     _check_count(length, 0, "length")
     _check_alphabet(alphabet)
     _check_profile_len(length, "length")
+    if not isinstance(rng, random.Random):
+        raise RangeError(f"need rng as a random.Random, got {type(rng).__name__}")
     w = ""
     untried = [rng.sample(alphabet, len(alphabet))]  # per depth, random order
     while len(w) < length:
@@ -559,12 +559,12 @@ _ALPHA_SEARCH_CAP = 64
 
 def verify_alpha_extremal() -> VerificationReport:
     """Exhaustively search square-free words that start with 01 and
-    contain 01 exactly once; PASS iff the unbordered ones top out at
-    length 13 with the single witness ``ALPHA_WORD``.
+    contain 01 exactly once; PASS iff ``ALPHA_WORD`` is the only
+    unbordered one of length 13 or more.
     """
     start = time.perf_counter()
     tested = 0
-    by_len: dict[int, list[str]] = {}
+    long_unbordered = []
 
     def accept(w: str, a: str) -> bool:
         # 0 then 1 would make a second 01
@@ -574,30 +574,19 @@ def verify_alpha_extremal() -> VerificationReport:
         tested += 1
         if len(w) > _ALPHA_SEARCH_CAP:
             raise ResourceGuard("01-constrained search ran past the expected depth")
-        if not _has_border(w):
-            by_len.setdefault(len(w), []).append(w)
-    top = max(by_len)
+        if len(w) >= 13 and not _has_border(w):
+            long_unbordered.append(w)
     tid = TheoremId.ALPHA_EXTREMAL
     found = []
-    if top > 13:
-        for w in (wd for length, ws in by_len.items() if length > 13 for wd in ws):
+    for w in long_unbordered:
+        if len(w) > 13:
             found.append((tid, w, f"unbordered, unique 01 prefix, length {len(w)} > 13"))
-    elif top < 13:
-        found.append((tid, "", f"search topped out at length {top} < 13"))
-    elif by_len[13] != [ALPHA_WORD]:
-        for w in by_len[13]:
-            if w != ALPHA_WORD:
-                found.append((tid, w, "unexpected maximal witness"))
-        if ALPHA_WORD not in by_len[13]:
-            found.append((tid, ALPHA_WORD, "expected witness not found"))
+        elif w != ALPHA_WORD:
+            found.append((tid, w, "unexpected maximal witness"))
+    if ALPHA_WORD not in long_unbordered:
+        found.append((tid, ALPHA_WORD, "expected witness not found"))
     range_desc = {"constraint": "square-free, prefix 01, no other 01 occurrence"}
     return _report(tid, range_desc, tested, found, start)
-
-
-def _family_report(theorem, range_desc, words, start) -> VerificationReport:
-    """The report of ``theorem``'s per-word predicates on ``words``."""
-    tested, found = _check_words(((w, None, None) for w in words), (theorem,))
-    return _report(theorem, range_desc, tested, found, start)
 
 
 def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
@@ -608,8 +597,9 @@ def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
     """
     start = time.perf_counter()
     words = beta_family(count, search_bound)
-    range_desc = {"count": count, "searchBound": search_bound}
-    return _family_report(TheoremId.BETA_ETA, range_desc, words, start)
+    tid = TheoremId.BETA_ETA
+    tested, found = _check_words(((w, None, None) for w in words), (tid,))
+    return _report(tid, {"count": count, "searchBound": search_bound}, tested, found, start)
 
 
 def verify_wx_density(n_max: int) -> VerificationReport:
@@ -626,7 +616,9 @@ def verify_wx_density(n_max: int) -> VerificationReport:
         w = construct_wx(x_n(n))
         _check_profile_len(len(w), "|w| =")  # the ceiling ``profile`` applies
         words.append(w)
-    return _family_report(TheoremId.WX_DENSITY, {"nMax": n_max}, words, start)
+    tid = TheoremId.WX_DENSITY
+    tested, found = _check_words(((w, None, None) for w in words), (tid,))
+    return _report(tid, {"nMax": n_max}, tested, found, start)
 
 
 # -- exploration (no truth claims) -------------------------------------------

@@ -37,6 +37,12 @@ def _check_alphabet(alphabet: str) -> None:
         raise RangeError(f"need a nonempty alphabet of distinct letters, got {alphabet!r}")
 
 
+def _check_word(w: str) -> None:
+    """Raise AlphabetError unless ``w`` is a str."""
+    if not isinstance(w, str):
+        raise AlphabetError(f"need a word as a str, got {type(w).__name__}")
+
+
 def _check_count(value: int, least: int, name: str) -> None:
     """Raise RangeError naming ``name`` unless ``value`` is an int of at
     least ``least``."""
@@ -76,6 +82,7 @@ def global_period(w: str) -> int:
 
     Equals |w| minus the longest border length.  Raises EmptyWord on "".
     """
+    _check_word(w)
     if not w:
         raise EmptyWord("the empty word has no period")
     return len(w) - border_array(w)[-1]

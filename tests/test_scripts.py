@@ -61,6 +61,7 @@ def test_script_bad_input_exits_2(argv):
     [
         (["-m", "critfact.cli", "enumerate", "--n", "2"], "critfact"),
         (["scripts/density_table.py"], "density_table.py"),
+        (["scripts/run_verification.py"], "run_verification.py"),
     ],
 )
 def test_bad_limit_in_the_environment_exits_2(name, value, argv, prog):

@@ -352,6 +352,7 @@ def test_overlaps_self():
     assert not overlaps_self("0", "00")  # adjacent occurrences share nothing
     assert overlaps_self("00", "000")
     assert not overlaps_self("010", "0102010")  # starts 1 and 5, gap 4 > 3
+    assert not overlaps_self("2", "0101")  # no occurrence at all
     with pytest.raises(EmptyFactor):
         overlaps_self("", "012")
 

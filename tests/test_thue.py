@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from critfact import thue as thue_module
 from critfact import (
     AlphabetError,
     InsufficientBound,
@@ -100,6 +101,14 @@ def test_m_n_prefix_alignment():
         mn = m_n(n)
         assert len(mn) == 4**n - 1
         assert mn + "0" == m_prefix(4**n)
+
+
+def test_m_n_is_read_from_the_prefix_of_m(monkeypatch):
+    def refuse(letter, n):
+        raise AssertionError("m_n iterated tau itself")
+
+    monkeypatch.setattr(thue_module, "tau_iter", refuse)
+    assert m_n(3) == m_prefix(63)
 
 
 def test_m_n_telescopes_under_tau_squared():

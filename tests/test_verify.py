@@ -1,6 +1,7 @@
 import pytest
 
 from critfact import (
+    AlphabetError,
     RangeError,
     TheoremId,
     VerifyOptions,
@@ -16,7 +17,7 @@ from critfact import (
 from critfact import periods as periods_module
 from critfact import squarefree as squarefree_module
 from critfact.errors import CritfactError, ResourceGuard
-from critfact.periods import local_periods, local_periods_scan
+from critfact.periods import local_periods, local_periods_scan, profile
 from critfact.squarefree import (
     count_square_free,
     find_square,
@@ -345,11 +346,14 @@ ALPHA_LIKE_13 = "01" + "2" * 11  # unbordered, 01 only as its prefix
     [
         ([verify_module.ALPHA_WORD, ALPHA_LIKE_13 + "2"],
          [(ALPHA_LIKE_13 + "2", "unbordered, unique 01 prefix, length 14 > 13")]),
-        (["012"], [("", "search topped out at length 3 < 13")]),
+        (["012"], [(verify_module.ALPHA_WORD, "expected witness not found")]),
         ([verify_module.ALPHA_WORD, ALPHA_LIKE_13],
          [(ALPHA_LIKE_13, "unexpected maximal witness")]),
         ([ALPHA_LIKE_13], [(verify_module.ALPHA_WORD, "expected witness not found"),
                            (ALPHA_LIKE_13, "unexpected maximal witness")]),
+        # a walk of bordered words alone
+        (["010", ALPHA_LIKE_13[:-1] + "0"],
+         [(verify_module.ALPHA_WORD, "expected witness not found")]),
     ],
 )
 def test_alpha_extremal_fails_on_any_other_search(monkeypatch, words, found):
@@ -492,6 +496,17 @@ def test_random_square_free_rejects_impossible_lengths():
         random_square_free(5, random.Random(0), "01")
     with pytest.raises(RangeError):
         random_square_free(-1, random.Random(0))
+
+
+def test_random_square_free_refuses_an_rng_that_is_not_a_random():
+    class Unseeded:
+        def sample(self, population, k):
+            raise AssertionError("a letter was drawn")
+
+    for rng in (None, Unseeded()):
+        name = type(rng).__name__
+        with pytest.raises(RangeError, match=f"^need rng as a random.Random, got {name}$"):
+            random_square_free(4, rng)
 
 
 def test_random_square_free_keeps_the_profile_ceiling():
@@ -928,6 +943,7 @@ def test_every_entry_refuses_a_bad_alphabet():
         (lambda: m_prefix(3.0), "need length >= 0, got 3.0"),
         (lambda: m_n(1.0), "need n >= 1, got 1.0"),
         (lambda: verify_beta_eta(1.5, 1000), "need count >= 1, got 1.5"),
+        (lambda: verify_beta_eta(3, 1000.5), "need search_bound >= 0, got 1000.5"),
         (lambda: random_square_free(5.5, random.Random(1)), "need length >= 0, got 5.5"),
         (lambda: verify(TheoremId.MIDPOINT, 2, 4, VerifyOptions(jobs=2.5)),
          "need jobs >= 1, got 2.5"),
@@ -948,6 +964,21 @@ def test_every_count_must_be_an_int(monkeypatch, call, message):
     monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
     monkeypatch.setattr(verify_module.os, "cpu_count", lambda: 4)  # jobs read at any CPU count
     with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        pytest.param(lambda: global_period(["0", "1", "0"]), "list", id="global_period"),
+        pytest.param(lambda: local_periods(["0", "1"]), "list", id="local_periods"),
+        pytest.param(lambda: local_periods_scan(["0", "1"]), "list", id="local_periods_scan"),
+        pytest.param(lambda: profile(123), "int", id="profile"),
+        pytest.param(lambda: square_free_words(3, prefix=5), "int", id="square_free_range"),
+    ],
+)
+def test_a_word_must_be_a_str(call, kind):
+    with pytest.raises(AlphabetError, match=f"^need a word as a str, got {kind}$"):
         call()
 
 
