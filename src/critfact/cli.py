@@ -37,7 +37,7 @@ from .thue import (
     x_n,
 )
 from .verify import (
-    _UNIVERSE,
+    _RANGE_SUITES,
     TheoremId,
     VerifyOptions,
     explore_problem1,
@@ -98,6 +98,8 @@ def _profile_csv(profs) -> str:
 def _cmd_profile(args) -> int:
     if args.json and args.csv:
         raise CritfactError("profile takes --json or --csv, not both")
+    if args.file and args.word is not None:
+        raise CritfactError("profile takes a WORD or --file, not both")
     words = []
     if args.file:
         try:
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(handler=_cmd_verify)
     vsub = v.add_subparsers(dest="theorem", required=True)
     for tid in TheoremId:
-        if tid in _UNIVERSE:
+        if tid in _RANGE_SUITES:
             vsub.add_parser(tid.value, parents=[span]).set_defaults(suite=_verify_range)
     t = vsub.add_parser("alpha-extremal", parents=[output])
     t.set_defaults(suite=lambda a: verify_alpha_extremal())

@@ -7,7 +7,8 @@ iterating from "0" converges to an infinite square-free word
     m = 012 02 1 012 1 02 012 ...
 
 which avoids the factors 010, 212 and 01201.  Only finite prefixes of m
-are ever materialised, up to the configured prefix ceiling.
+are ever kept, up to the configured prefix ceiling; one tau step may
+briefly build more during a call.
 
 Families (all ternary):
 
@@ -65,8 +66,9 @@ _m_cache = "0"
 def m_prefix(length: int) -> str:
     """The prefix of the fixed point m of the given length.
 
-    Iterates tau on "0" until the cached prefix is long enough, then
-    truncates.  Guarded by the configured prefix ceiling.
+    Iterates tau on the cached prefix, cut to the configured prefix
+    ceiling after each step, until it is long enough: tau of a prefix of
+    m is a longer prefix of m.  Guarded by the same ceiling.
     """
     global _m_cache
     _check_count(length, 0, "length")
@@ -74,7 +76,7 @@ def m_prefix(length: int) -> str:
     if length > cap:
         raise ResourceGuard(f"prefix length {length} exceeds the ceiling {cap}")
     while len(_m_cache) < length:
-        _m_cache = tau(_m_cache)
+        _m_cache = tau(_m_cache)[:cap]
     return _m_cache[:length]
 
 

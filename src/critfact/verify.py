@@ -34,12 +34,13 @@ universe holds no word is refused, so no suite passes on zero words.
 
 The range suites, ``verify_beta_eta`` and ``verify_wx_density``, whose
 predicates depend on the word alone, check each word with one small
-function per theorem, looked up in ``_PREDICATES``.
-``_run_predicates`` looks the requested theorems up once per fold, that
-is once per chunk, before the first word, and refuses one that is not
-checked word by word.  The dispatch sits there because on CPython 3.10
-and 3.11 each lookup of an enum member costs about 120 ns, and a chain
-of ``tid is TheoremId.X`` tests ran 11 to 18 of them per word.
+function per theorem, run by ``_check_words`` on (theorem, predicate)
+pairs.  Each range suite is one row of ``_RANGE_SUITES``, its universe
+and its predicate; ``verify_many`` builds the pairs from it once per
+run, and each family suite passes its own.  The pairs are built before
+the first word because on CPython 3.10 and 3.11 each lookup of an enum
+member costs about 120 ns, and a chain of ``tid is TheoremId.X`` tests
+ran 11 to 18 of them per word.
 ``_report`` builds every report.
 
 The family suites and ``explore_problem1`` live here too.
@@ -55,7 +56,7 @@ from enum import Enum
 from functools import partial
 from itertools import islice
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import _check_profile_len, _hold_words
 from .errors import CritfactError, RangeError, ResourceGuard
@@ -95,20 +96,6 @@ class TheoremId(str, Enum):
     ALPHA_EXTREMAL = "alpha-extremal"
     BETA_ETA = "beta-eta"
     WX_DENSITY = "wx-density"
-
-
-# Universe each range suite walks: every word, or square-free words only.
-_UNIVERSE = {
-    TheoremId.CFT: "all",
-    TheoremId.OVERFLOW_IFF_SQUAREFREE: "all",
-    TheoremId.MIN_REP_UNBORDERED: "all",
-    TheoremId.MIDPOINT: "square-free",
-    TheoremId.UNIMODAL: "square-free",
-    TheoremId.INTERVAL: "square-free",
-    TheoremId.NO_SELF_OVERLAP: "square-free",
-    TheoremId.UPPER_BOUND: "square-free",
-    TheoremId.LOWER_BOUND: "square-free",
-}
 
 
 @dataclass(frozen=True)
@@ -325,55 +312,41 @@ def _wx_density(w: str, lp: list[int], per: int) -> Sequence[str]:
     return issues
 
 
-_PREDICATES = {
-    TheoremId.CFT: _cft,
-    TheoremId.MIDPOINT: _midpoint,
-    TheoremId.UNIMODAL: _unimodal,
-    TheoremId.INTERVAL: _interval,
-    TheoremId.OVERFLOW_IFF_SQUAREFREE: _overflow,
-    TheoremId.MIN_REP_UNBORDERED: _rep_unbordered,
-    TheoremId.NO_SELF_OVERLAP: _no_overlap,
-    TheoremId.UPPER_BOUND: _upper_bound,
-    TheoremId.LOWER_BOUND: _lower_bound,
-    TheoremId.BETA_ETA: _beta_eta,
-    TheoremId.WX_DENSITY: _wx_density,
+# Each range suite: the universe it walks, every word or square-free
+# words only, and its predicate.
+_RANGE_SUITES = {
+    TheoremId.CFT: ("all", _cft),
+    TheoremId.MIDPOINT: ("square-free", _midpoint),
+    TheoremId.UNIMODAL: ("square-free", _unimodal),
+    TheoremId.INTERVAL: ("square-free", _interval),
+    TheoremId.OVERFLOW_IFF_SQUAREFREE: ("all", _overflow),
+    TheoremId.MIN_REP_UNBORDERED: ("all", _rep_unbordered),
+    TheoremId.NO_SELF_OVERLAP: ("square-free", _no_overlap),
+    TheoremId.UPPER_BOUND: ("square-free", _upper_bound),
+    TheoremId.LOWER_BOUND: ("square-free", _lower_bound),
 }
 
 
-def _run_predicates(
-    checked: Iterable[tuple[str, list[int], int, str]], ids: tuple[TheoremId, ...]
+def _check_words(
+    words: Iterable[tuple[str, list[int] | None, int | None]],
+    checks: tuple[tuple[TheoremId, Callable[[str, list[int], int], Sequence[str]]], ...],
 ) -> tuple[int, list[tuple[TheoremId, str, str]]]:
-    """Number of (word, local periods, per(word), detail) quadruples in
-    ``checked``, and the (theorem, word, detail) issues that the
-    predicates of ``ids`` find on them; a detail says the routes
-    disagreed and fails every predicate.  Each id is looked up once,
-    before the first word, and RangeError names one that is not checked
-    word by word."""
-    predicates = []
-    for tid in ids:
-        if tid not in _PREDICATES:
-            raise RangeError(f"{tid.value} is not checked word by word")
-        predicates.append((tid, _PREDICATES[tid]))
+    """Number of (word, local periods, period) triples checked by
+    ``_checked``, and the (theorem, word, detail) issues that the
+    (theorem, predicate) pairs of ``checks`` find on them; a detail of
+    ``_checked`` says the routes disagreed and fails every predicate."""
     tested = 0
     found: list[tuple[TheoremId, str, str]] = []
-    for w, lp, per, detail in checked:
+    for w, lp, per, detail in _checked(words):
         tested += 1
         if detail:
-            found.extend((tid, w, detail) for tid in ids)
+            found.extend((tid, w, detail) for tid, _ in checks)
             continue
-        for tid, predicate in predicates:
+        for tid, predicate in checks:
             issues = predicate(w, lp, per)
             if issues:
                 found.extend((tid, w, d) for d in issues)
     return tested, found
-
-
-def _check_words(
-    words: Iterable[tuple[str, list[int] | None, int | None]], ids: tuple[TheoremId, ...]
-) -> tuple[int, list[tuple[TheoremId, str, str]]]:
-    """Number of (word, local periods, period) triples checked by
-    ``_checked``, and the issues the predicates of ``ids`` found."""
-    return _run_predicates(_checked(words), ids)
 
 
 def _run_chunk(fold, universe, alphabet, min_len, max_len, prefix):
@@ -486,11 +459,11 @@ def verify_many(
     if not ids:
         raise RangeError("no theorems requested")
     for tid in ids:
-        if tid not in _UNIVERSE:
+        if tid not in _RANGE_SUITES:
             raise RangeError(f"{tid.value} takes no length range; call its own function")
         if ids.count(tid) > 1:
             raise RangeError(f"{tid.value} is requested more than once")
-    universes = {_UNIVERSE[tid] for tid in ids}
+    universes = {_RANGE_SUITES[tid][0] for tid in ids}
     if len(universes) > 1:
         raise RangeError("cannot share one enumeration across different universes")
     universe = universes.pop()
@@ -511,7 +484,7 @@ def verify_many(
             raise RangeError(f"need an int seed, got {opts.seed!r}")
 
     start = time.perf_counter()
-    fold = partial(_check_words, ids=ids)
+    fold = partial(_check_words, checks=tuple((tid, _RANGE_SUITES[tid][1]) for tid in ids))
     parts = _run_universe(
         fold, universe, opts.alphabet, min_len, max_len, opts.jobs, opts.random_count
     )
@@ -598,7 +571,7 @@ def verify_beta_eta(count: int, search_bound: int) -> VerificationReport:
     start = time.perf_counter()
     words = beta_family(count, search_bound)
     tid = TheoremId.BETA_ETA
-    tested, found = _check_words(((w, None, None) for w in words), (tid,))
+    tested, found = _check_words(((w, None, None) for w in words), ((tid, _beta_eta),))
     return _report(tid, {"count": count, "searchBound": search_bound}, tested, found, start)
 
 
@@ -617,7 +590,7 @@ def verify_wx_density(n_max: int) -> VerificationReport:
         _check_profile_len(len(w), "|w| =")  # the ceiling ``profile`` applies
         words.append(w)
     tid = TheoremId.WX_DENSITY
-    tested, found = _check_words(((w, None, None) for w in words), (tid,))
+    tested, found = _check_words(((w, None, None) for w in words), ((tid, _wx_density),))
     return _report(tid, {"nMax": n_max}, tested, found, start)
 
 

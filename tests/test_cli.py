@@ -104,6 +104,15 @@ def test_profile_takes_json_or_csv_not_both(capsys):
     assert captured.err == "critfact: error: profile takes --json or --csv, not both\n"
 
 
+def test_profile_takes_a_word_or_a_file_not_both(capsys, tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("0102\n")
+    assert run(["profile", "012", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "critfact: error: profile takes a WORD or --file, not both\n"
+
+
 def test_profile_needs_a_word_or_a_file(capsys):
     assert run(["profile"]) == 2
     captured = capsys.readouterr()
@@ -223,17 +232,17 @@ def test_verify_commands_are_the_theorems():
     assert set(verify_commands) == {t.value for t in TheoremId}
 
 
-@pytest.mark.parametrize("tid", list(verify_module._UNIVERSE))
+@pytest.mark.parametrize("tid", list(verify_module._RANGE_SUITES))
 def test_each_range_theorem_runs_and_reports_itself(capsys, tid):
     lo, hi = ("26", "26") if tid is TheoremId.UPPER_BOUND else ("2", "6")
     code, doc = run_json(capsys, ["verify", tid.value, "--min", lo, "--max", hi, "--json"])
     assert code == 0
     assert doc["theorem"] == tid.value
     assert doc["tested"] > 0
-    assert doc["range"]["universe"] == verify_module._UNIVERSE[tid]
+    assert doc["range"]["universe"] == verify_module._RANGE_SUITES[tid][0]
 
 
-@pytest.mark.parametrize("tid", [t for t in TheoremId if t not in verify_module._UNIVERSE])
+@pytest.mark.parametrize("tid", [t for t in TheoremId if t not in verify_module._RANGE_SUITES])
 def test_family_suites_take_no_range(capsys, tid):
     assert run(["verify", tid.value, "--min", "2"]) == 2
     captured = capsys.readouterr()

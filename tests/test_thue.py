@@ -76,6 +76,19 @@ def test_m_prefix_refuses_a_negative_length_and_one_past_the_ceiling(monkeypatch
         m_prefix(1001)
 
 
+def test_m_prefix_keeps_no_more_of_m_than_the_ceiling(monkeypatch):
+    monkeypatch.setattr(thue_module, "_m_cache", "0")
+    monkeypatch.setenv("CRITFACT_MAX_PREFIX_LEN", "1000")
+    m_prefix(1000)
+    assert len(thue_module._m_cache) == 1000
+    # the cut cache is a prefix of m, so a later call under a higher
+    # ceiling grows it to the same letters
+    monkeypatch.delenv("CRITFACT_MAX_PREFIX_LEN")
+    assert m_prefix(100_000) == tau_iter("0", 17)[:100_000]
+    m_prefix(2_000_000)
+    assert len(thue_module._m_cache) == 2_000_000
+
+
 def test_m_prefix_properties():
     w = m_prefix(500)
     assert is_square_free(w)

@@ -26,7 +26,7 @@ from critfact.squarefree import (
     square_free_words,
 )
 from critfact.thue import m_n, m_prefix, tau_iter, x_n
-from critfact.verify import _check_words, _run_predicates
+from critfact.verify import _RANGE_SUITES, _beta_eta, _check_words, _wx_density
 from critfact.words import _has_border, global_period
 
 from conftest import all_words, brute_border
@@ -109,6 +109,16 @@ def test_theorems_may_be_named_by_their_tokens(monkeypatch):
     monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
     with pytest.raises(RangeError, match="^unknown theorem: 'bogus' is not a valid TheoremId$"):
         verify("bogus", 2, 4)
+
+
+@pytest.mark.parametrize(
+    "tid", [TheoremId.ALPHA_EXTREMAL, TheoremId.BETA_ETA, TheoremId.WX_DENSITY]
+)
+def test_family_suites_take_no_length_range(monkeypatch, tid):
+    monkeypatch.setattr(verify_module, "_run_chunk", None)  # no chunk may run
+    message = f"^{tid.value} takes no length range; call its own function$"
+    with pytest.raises(RangeError, match=message):
+        verify(tid, 2, 5)
 
 
 def test_a_repeated_theorem_is_refused(monkeypatch):
@@ -335,7 +345,9 @@ def test_every_per_word_predicate_can_fail(w, tid, lp, per, details):
     # word of the suite's universe breaks its theorem
     if lp is None:
         lp, per = local_periods(w), global_period(w)
-    assert _run_predicates([(w, lp, per, "")], (tid,)) == (1, [(tid, w, d) for d in details])
+    family = {TheoremId.BETA_ETA: _beta_eta, TheoremId.WX_DENSITY: _wx_density}
+    predicate = family[tid] if tid in family else _RANGE_SUITES[tid][1]
+    assert list(predicate(w, lp, per)) == details
 
 
 ALPHA_LIKE_13 = "01" + "2" * 11  # unbordered, 01 only as its prefix
@@ -369,20 +381,6 @@ def test_alpha_extremal_refuses_a_search_past_its_cap(monkeypatch):
         verify_alpha_extremal()
 
 
-def test_only_per_word_predicates_are_checked_word_by_word():
-    with pytest.raises(RangeError, match="^alpha-extremal is not checked word by word$"):
-        _run_predicates([("012", [1, 1], 3, "")], (TheoremId.ALPHA_EXTREMAL,))
-
-
-def test_theorems_not_checked_word_by_word_are_refused_before_the_first_word():
-    def refuse(w):
-        raise AssertionError("a word was checked")
-
-    for words in ([], map(refuse, ["012"])):
-        with pytest.raises(RangeError, match="^alpha-extremal is not checked word by word$"):
-            _check_words(words, (TheoremId.CFT, TheoremId.ALPHA_EXTREMAL))
-
-
 def test_overflow_asks_the_square_oracle_only_of_square_free_words(monkeypatch):
     # every other word shows a centred square that its letters confirm
     calls = []
@@ -401,24 +399,27 @@ def test_overflow_asks_the_square_oracle_only_of_square_free_words(monkeypatch):
 def test_check_word_flags_violations():
     # the interval predicate really fires on a word whose critical set
     # has gaps (a non-square-free word, so no theorem is contradicted)
-    _, issues = _check_words([(EX1, None, None)], (TheoremId.INTERVAL,))
+    interval = ((TheoremId.INTERVAL, _RANGE_SUITES[TheoremId.INTERVAL][1]),)
+    _, issues = _check_words([(EX1, None, None)], interval)
     assert issues == [
         (TheoremId.INTERVAL, EX1, "critical points not an interval: [7, 8, 11, 12]")
     ]
     # and stays quiet on a word where the set is an interval
-    assert _check_words([("01020120210201021", None, None)], (TheoremId.INTERVAL,)) == (1, [])
+    assert _check_words([("01020120210201021", None, None)], interval) == (1, [])
 
 
 def test_check_word_unimodal_flags_example1():
-    _, issues = _check_words([(EX1, None, None)], (TheoremId.UNIMODAL,))
+    unimodal = ((TheoremId.UNIMODAL, _RANGE_SUITES[TheoremId.UNIMODAL][1]),)
+    _, issues = _check_words([(EX1, None, None)], unimodal)
     assert issues == [(TheoremId.UNIMODAL, EX1, f"local periods not unimodal: {EX1_LP}")]
 
 
 def test_check_word_route_disagreement_fails_every_predicate(monkeypatch):
     monkeypatch.setattr(verify_module, "local_periods", lambda w: [1] * (len(w) - 1))
-    ids = (TheoremId.CFT, TheoremId.MIDPOINT)
+    checks = tuple((tid, _RANGE_SUITES[tid][1]) for tid in (TheoremId.CFT, TheoremId.MIDPOINT))
     detail = f"local-period routes disagree: trie={[1] * 18} scan={EX1_LP}"
-    assert _check_words([(EX1, None, None)], ids) == (1, [(tid, EX1, detail) for tid in ids])
+    found = [(tid, EX1, detail) for tid, _ in checks]
+    assert _check_words([(EX1, None, None)], checks) == (1, found)
 
 
 def test_scan_guards_the_trie_step(monkeypatch):
